@@ -5,7 +5,9 @@
 #
 # must exit 0, print a one-line metrics summary to stderr, and emit
 # metrics JSON with nonzero scheduler counters and per-site fault hit
-# counts plus a trace with the pipeline's stage spans. PGB_THREADS is
+# counts plus a trace with the pipeline's stage spans; a MEM-seeded
+# `pgb map --metrics` must report the seed.* counters, FM-index
+# backward-extension steps (seed.fm_steps) included. PGB_THREADS is
 # forced so the pool spawns workers even on single-core CI runners
 # (otherwise tasks_spawned is legitimately zero and proves nothing).
 #
@@ -87,4 +89,27 @@ for e in events:
 
 print("metrics_smoke: OK (%d counters, %d trace events)"
       % (len(counters), len(events)))
+EOF
+
+"$PGB" map d.gfa d.short.fq vgmap 2 --seeder=mem \
+    --metrics map_metrics.json >map_stdout.txt 2>map_stderr.txt \
+    || fail "pgb map --seeder=mem exited nonzero: $(cat map_stderr.txt)"
+
+"$PY" - <<'EOF' || exit 1
+import json
+import sys
+
+with open("map_metrics.json") as f:
+    counters = json.load(f)["counters"]
+for name in ("seed.anchors", "seed.mems", "seed.mem_occurrences",
+             "seed.fm_steps"):
+    if counters.get(name, 0) <= 0:
+        print("metrics_smoke: FAIL: %s = %r after a MEM-seeded map"
+              % (name, counters.get(name)), file=sys.stderr)
+        sys.exit(1)
+if "seed.dropped_repetitive" not in counters:
+    print("metrics_smoke: FAIL: seed.dropped_repetitive missing",
+          file=sys.stderr)
+    sys.exit(1)
+print("metrics_smoke: OK (seed.fm_steps = %d)" % counters["seed.fm_steps"])
 EOF

@@ -204,47 +204,131 @@ FmIndex::resolve(uint64_t text_pos) const
     return {path, text_pos - pathOffsets_[path]};
 }
 
-void
-FmIndex::collectMems(std::span<const uint8_t> query, uint32_t min_length,
-                     std::vector<Mem> &mems) const
-{
-    mems.clear();
-    const uint32_t m = static_cast<uint32_t>(query.size());
-    if (min_length == 0)
-        min_length = 1;
+// ---------------------------------------------------------------------
+// SmemSet
+// ---------------------------------------------------------------------
 
-    // For each end position e, backward-extend to the minimal begin
-    // b(e) with query[b..e) present. b() is non-decreasing in e, and
-    // [b(e), e) is an SMEM exactly when the next end strictly raises
-    // the begin (i.e. the match is right-maximal); equal begins mean
-    // the current candidate extends rightward and is replaced.
-    uint32_t cur_begin = 0, cur_end = 0;
-    SaRange cur_range;
-    bool have = false;
-    for (uint32_t e = 1; e <= m; ++e) {
-        SaRange range = fullRange();
-        uint32_t b = e;
-        while (b > 0) {
-            const SaRange next = extend(range, query[b - 1]);
-            if (next.empty())
-                break;
-            range = next;
-            --b;
+void
+SmemSet::resetFull(Ranges &ranges) const
+{
+    ranges.resize(width_);
+    for (size_t s = 0; s < width_; ++s)
+        ranges[s] = indexes_[s]->fullRange();
+}
+
+uint32_t
+SmemSet::extendLeft(std::span<const uint8_t> query, uint32_t b,
+                    uint32_t floor, Ranges &ranges)
+{
+    while (b > floor) {
+        const uint8_t base = query[b - 1];
+        bool occurs = false;
+        for (size_t s = 0; s < width_; ++s) {
+            if (ranges[s].empty()) {
+                next_[s] = {};
+                continue;
+            }
+            next_[s] = indexes_[s]->extend(ranges[s], base);
+            ++steps_;
+            occurs |= !next_[s].empty();
         }
-        if (!have || b > cur_begin) {
-            if (have && cur_end - cur_begin >= min_length)
-                mems.push_back({cur_begin, cur_end, cur_range});
-            cur_begin = b;
-            cur_end = e;
-            cur_range = range;
-            have = true;
-        } else {
-            cur_end = e;
-            cur_range = range;
-        }
+        if (!occurs)
+            break;
+        ranges.swap(next_);
+        --b;
     }
-    if (have && cur_end - cur_begin >= min_length)
-        mems.push_back({cur_begin, cur_end, cur_range});
+    return b;
+}
+
+bool
+SmemSet::probe(std::span<const uint8_t> query, uint32_t begin,
+               uint32_t end)
+{
+    resetFull(probe_);
+    return extendLeft(query, end, begin, probe_) == begin;
+}
+
+uint64_t
+SmemSet::collect(std::span<const FmIndex *const> indexes,
+                 std::span<const uint8_t> query, uint32_t min_length)
+{
+    indexes_ = indexes;
+    width_ = indexes.size();
+    steps_ = 0;
+    bounds_.clear();
+    ranges_.clear();
+    next_.resize(width_);
+    const auto m = static_cast<uint32_t>(query.size());
+    const uint32_t min_len = std::max(min_length, 1u);
+    if (width_ == 0 || m < min_len)
+        return 0;
+
+    // (a) Window skip: x0 = the first x whose window query[x, x+L)
+    // occurs. A search failing on query[y-1, x+L) rules out every
+    // long match starting in [x, y-1].
+    uint32_t x = 0;
+    while (true) {
+        if (m - x < min_len)
+            return steps_;
+        resetFull(cur_);
+        const uint32_t y = extendLeft(query, x + min_len, x, cur_);
+        if (y == x)
+            break;
+        x = y;
+    }
+    const uint32_t lowest_end = x + min_len;
+
+    // (b) Jump from right-maximal end to right-maximal end, from e = m
+    // down, carrying (e, b(e), ranges of query[b(e), e)) in cur_.
+    uint32_t e = m;
+    resetFull(cur_);
+    uint32_t b = extendLeft(query, e, 0, cur_);
+    while (true) {
+        if (e - b >= min_len) {
+            bounds_.push_back({b, e});
+            ranges_.insert(ranges_.end(), cur_.begin(), cur_.end());
+        }
+        if (b == 0)
+            break;
+        // The next end E = max e' < e with query[b-1, e') present:
+        // lo is known present (best_ holds its ranges), hi absent.
+        // Ends below lowest_end keep no SMEM, so the gallop starts
+        // there rather than at b.
+        const uint32_t from = b - 1;
+        uint32_t lo = from, hi = e;
+        resetFull(best_);
+        for (uint32_t at = std::max(b, lowest_end); at < hi;
+             at = from + 2 * (at - from)) {
+            if (!probe(query, from, at)) {
+                hi = at;
+                break;
+            }
+            lo = at;
+            best_.swap(probe_);
+        }
+        while (hi - lo > 1 && hi > lowest_end) {
+            const uint32_t mid = lo + (hi - lo) / 2;
+            if (probe(query, from, mid)) {
+                lo = mid;
+                best_.swap(probe_);
+            } else {
+                hi = mid;
+            }
+        }
+        if (lo < lowest_end)
+            break;
+        e = lo;
+        cur_.swap(best_);
+        b = extendLeft(query, from, 0, cur_);
+    }
+
+    // Found right to left; report in ascending end order.
+    std::reverse(bounds_.begin(), bounds_.end());
+    std::reverse(ranges_.begin(), ranges_.end());
+    for (size_t i = 0; i < bounds_.size(); ++i)
+        std::reverse(ranges_.begin() + i * width_,
+                     ranges_.begin() + (i + 1) * width_);
+    return steps_;
 }
 
 } // namespace pgb::index

@@ -21,12 +21,36 @@
  *
  * Patterns never contain the sentinel, so matches never span path
  * boundaries; backward extension (`extend`/`find`) is exact for any
- * query over the base codes (N matches only N). `collectMems`
- * enumerates SMEMs — maximal exact matches not contained in another
- * maximal match — by computing, for every query end position, the
- * longest match ending there via backward extension and emitting the
- * right-maximal ones (the begin positions are monotone in the end
- * position, which makes that single left-to-right pass exact).
+ * query over the base codes (N matches only N).
+ *
+ * SMEM enumeration (`SmemSet`) runs over a *set* of indexes whose
+ * texts together form one logical text: the monolith is a set of one,
+ * a shard set N indexes stepped in lockstep (a pattern occurs iff it
+ * occurs in some member, and its count is the sum). With b(e) the
+ * minimal begin such that query[b(e), e) occurs, b() is non-decreasing
+ * and the SMEMs are the [b(e), e) at right-maximal ends (b(e+1) >
+ * b(e), or e = m). Callers discard SMEMs shorter than min_length L,
+ * and the enumerator uses that in two exact phases:
+ *
+ *  (a) Window skip, left to right: backward-search query[x, x+L). If
+ *      the search fails on query[y, x+L), every match starting in
+ *      [x, y] would contain that absent string, so none of length
+ *      >= L does; continue at x = y+1. The first window that occurs
+ *      gives x0 (none: no SMEM), and every kept SMEM has b >= x0 and
+ *      therefore e >= x0 + L.
+ *  (b) Jump, right to left from e = m: extend to b = b(e) once. The
+ *      ends e' in (E, e] all share begin b, where E = max e' < e with
+ *      query[b-1, e') present (a prefix-closed property of e', found
+ *      by galloping up from b-1 and then binary search, each probe one
+ *      backward search); E is the next right-maximal end, and b(E) is
+ *      the backward extension of E's probe range from b-1. Stop once
+ *      E < x0 + L or b = 0.
+ *
+ * On one index an exact match of length m thus costs m + L extension
+ * steps instead of the O(m * match length) of restarting a backward
+ * search at every end position, and a query that occurs nowhere costs
+ * a few failed windows. The output is exactly the SMEM set of length
+ * >= L with every member's SA range, ordered by end position.
  *
  * Like MinimizerIndex, the index either owns its arrays (built from a
  * graph) or views spans into a memory-mapped `.pgbi` artifact
@@ -62,14 +86,6 @@ class FmIndex
 
         uint64_t size() const { return hi > lo ? hi - lo : 0; }
         bool empty() const { return hi <= lo; }
-    };
-
-    /** One supermaximal exact match of a query. */
-    struct Mem
-    {
-        uint32_t queryBegin = 0; ///< match is query[queryBegin, queryEnd)
-        uint32_t queryEnd = 0;
-        SaRange range;           ///< its occurrences, as SA ranks
     };
 
     /** A text position resolved to (path, offset within the path). */
@@ -126,14 +142,6 @@ class FmIndex
     /** Resolve a non-sentinel text position to (path, path offset). */
     PathPos resolve(uint64_t text_pos) const;
 
-    /**
-     * Enumerate the SMEMs of @p query (base codes) of length at least
-     * @p min_length into @p mems (cleared first), ordered by query
-     * end position. N in the query matches only N in the text.
-     */
-    void collectMems(std::span<const uint8_t> query, uint32_t min_length,
-                     std::vector<Mem> &mems) const;
-
     // ---- Persistence views (both modes) ------------------------------
     std::span<const uint8_t> bwtData() const { return bwt_; }
     std::span<const uint32_t> occData() const { return occ_; }
@@ -180,6 +188,66 @@ class FmIndex
     uint64_t cumulative_[kAlphabet + 1] = {};
     /** Per-word prefix popcounts of marks_ (derived). */
     std::vector<uint32_t> markRankWords_;
+};
+
+/**
+ * The SMEMs of one query over a set of FM-indexes, plus the buffers
+ * that enumerate them (see the file comment for the algorithm). Keep
+ * one per thread and reuse it: collect() allocates nothing once warm.
+ */
+class SmemSet
+{
+  public:
+    /**
+     * Enumerate the SMEMs of @p query of length at least
+     * @p min_length over @p indexes, replacing the previous contents;
+     * returns the number of backward-extension steps taken (one per
+     * FmIndex::extend, summed over the member indexes).
+     */
+    uint64_t collect(std::span<const FmIndex *const> indexes,
+                     std::span<const uint8_t> query, uint32_t min_length);
+
+    size_t size() const { return bounds_.size(); }
+    uint32_t queryBegin(size_t i) const { return bounds_[i].begin; }
+    uint32_t queryEnd(size_t i) const { return bounds_[i].end; }
+
+    /** SMEM @p i's occurrences, one range per member index (empty
+     *  for a member the SMEM does not occur in). */
+    std::span<const FmIndex::SaRange>
+    ranges(size_t i) const
+    {
+        return {ranges_.data() + i * width_, width_};
+    }
+
+  private:
+    using Ranges = std::vector<FmIndex::SaRange>;
+
+    /** Set @p ranges to every member's full range (the empty string). */
+    void resetFull(Ranges &ranges) const;
+
+    /**
+     * Backward-extend @p ranges (those of query[b, e)) while b >
+     * @p floor and the extension occurs in some member; returns the
+     * final b. Members whose range is already empty are not stepped.
+     */
+    uint32_t extendLeft(std::span<const uint8_t> query, uint32_t b,
+                        uint32_t floor, Ranges &ranges);
+
+    /** Whether query[@p begin, @p end) occurs; its ranges in probe_. */
+    bool probe(std::span<const uint8_t> query, uint32_t begin,
+               uint32_t end);
+
+    struct Bounds
+    {
+        uint32_t begin = 0, end = 0;
+    };
+
+    std::span<const FmIndex *const> indexes_; ///< valid during collect()
+    size_t width_ = 0;
+    uint64_t steps_ = 0;
+    std::vector<Bounds> bounds_;
+    Ranges ranges_;
+    Ranges cur_, next_, probe_, best_;
 };
 
 } // namespace pgb::index

@@ -49,6 +49,9 @@ class GraphLinearization
 
     uint64_t totalBases() const { return total_; }
 
+    /** Linear offset of every node's first base, by node id. */
+    std::span<const uint64_t> nodeStarts() const { return prefix_; }
+
   private:
     std::vector<uint64_t> prefix_;
     uint64_t total_ = 0;

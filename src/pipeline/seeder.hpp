@@ -13,7 +13,8 @@
  *  - MemSeeder enumerates supermaximal exact matches on the FM-index
  *    (index/fm_index.hpp), locates every occurrence on the haplotype
  *    paths, and splits each into k-length sub-anchors at stride k (plus
- *    a final window flush against the MEM end) so downstream geometry —
+ *    a final window flush against the MEM end; detail::collectMemAnchors,
+ *    shared with the shard-set seeder) so downstream geometry —
  *    diagonal clustering, chain gap costs, and the fixed-k query-offset
  *    conversions in the mapper — holds unchanged.
  *
@@ -24,6 +25,7 @@
 #ifndef PGB_PIPELINE_SEEDER_HPP
 #define PGB_PIPELINE_SEEDER_HPP
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,26 +41,54 @@ enum class SeederKind { kMinimizer, kMem };
 namespace detail {
 
 /**
- * The seed.* metric counters live in seeder.cpp; these hooks let the
- * shard-set seeders (shard_set.cpp) charge the same counters instead
- * of registering duplicate names.
+ * The seed.* metric counters live in seeder.cpp; this hook lets the
+ * shard-set minimizer seeder (shard_set.cpp) charge the same counter
+ * instead of registering a duplicate name.
  */
 void addSeedAnchors(size_t n);
-void addSeedMems(size_t n);
-void addSeedMemOccurrences(size_t n);
-void addSeedDroppedRepetitive();
-
-} // namespace detail
 
 /**
- * Canonical MEM-anchor order: sort by (queryPos, reverse, linearPos,
- * node, nodeOffset) and dedupe. MEM occurrences on different
- * haplotypes can project to the same graph position and enumeration
- * order is an implementation detail (monolithic scan vs per-shard
- * scans), so every MEM seeder funnels through this before returning —
- * the anchor SET alone determines the output.
+ * One member of a MEM seeding set: an FM-index plus the projection of
+ * its path text onto global graph coordinates. The monolith is a set
+ * of one; a shard set has one member per shard.
  */
-void canonicalizeMemAnchors(std::vector<Anchor> &anchors);
+struct MemSource
+{
+    const index::FmIndex *fm = nullptr;
+    const graph::PanGraph *graph = nullptr;
+    /// (*stepStarts)[p][s] = path offset where step s of path p
+    /// begins, plus one trailing total-length entry (pathStepStarts).
+    const std::vector<std::vector<uint64_t>> *stepStarts = nullptr;
+    /// Local → global node id; empty when local ids are global.
+    std::span<const uint32_t> origNodes;
+    /// Local node → linear offset of its first base.
+    std::span<const uint64_t> linearBases;
+};
+
+/** Step start offsets of every path of @p graph (MemSource). */
+std::vector<std::vector<uint64_t>>
+pathStepStarts(const graph::PanGraph &graph);
+
+/**
+ * MEM anchors of @p read, both strands, over @p sources (whose FM
+ * texts partition one path text): SMEMs of length >= @p k enumerated
+ * by index::SmemSet over every member at once, SMEMs with more than
+ * @p max_occurrences summed occurrences dropped as repeats, and each
+ * occurrence split into k-length sub-anchors at stride k plus one
+ * flushed against the SMEM end. Anchors come out in canonical order
+ * (sorted by queryPos, reverse, linearPos, node, nodeOffset and
+ * deduplicated), so only the anchor set depends on the data, not on
+ * how the text is split. Sets @p touched[s] for every member that
+ * contributed an anchor (pass an empty span to skip that), and
+ * charges the seed.* counters.
+ */
+void collectMemAnchors(std::span<const MemSource> sources,
+                       const seq::Sequence &read, uint32_t k,
+                       size_t max_occurrences,
+                       std::vector<Anchor> &anchors,
+                       std::span<uint8_t> touched);
+
+} // namespace detail
 
 /** Parse a `--seeder=` value ("minimizer" | "mem"); fatal otherwise. */
 SeederKind parseSeeder(const std::string &name);
@@ -119,26 +149,20 @@ class MemSeeder final : public Seeder
               const GraphLinearization &linear, uint32_t k,
               size_t max_occurrences = 64);
 
+    /// source_ points at stepStarts_.
+    MemSeeder(const MemSeeder &) = delete;
+    MemSeeder &operator=(const MemSeeder &) = delete;
+
     void collect(const seq::Sequence &read,
                  std::vector<Anchor> &anchors) const override;
 
     SeederKind kind() const override { return SeederKind::kMem; }
 
   private:
-    void collectStrand(std::span<const uint8_t> codes, bool rc_strand,
-                       uint32_t read_length,
-                       std::vector<index::FmIndex::Mem> &mems,
-                       std::vector<Anchor> &anchors) const;
-
-    const index::FmIndex &fm_;
-    const graph::PanGraph &graph_;
-    const GraphLinearization &linear_;
     uint32_t k_;
     size_t maxOccurrences_;
-
-    /// stepStarts_[p][s] = path offset where step s of path p begins
-    /// (one trailing total-length entry), for text → node projection.
     std::vector<std::vector<uint64_t>> stepStarts_;
+    detail::MemSource source_;
 };
 
 } // namespace pgb::pipeline

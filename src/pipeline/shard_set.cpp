@@ -13,7 +13,6 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "pipeline/chain.hpp"
-#include "seq/alphabet.hpp"
 #include "store/store.hpp"
 
 namespace pgb::pipeline {
@@ -43,9 +42,8 @@ hex16(uint64_t value)
 struct LoadedShard
 {
     std::unique_ptr<const store::Artifact> artifact;
-    /// stepStarts[p][s] = path offset where step s of local path p
-    /// begins (one trailing total-length entry) — text → node
-    /// projection for the MEM seeder, same shape as MemSeeder's.
+    /// detail::pathStepStarts of the shard graph: text → node
+    /// projection for the MEM seeder.
     std::vector<std::vector<uint64_t>> stepStarts;
 };
 
@@ -214,19 +212,7 @@ ShardCache::loadLocked(uint32_t shard) const
                         "component routing at local node ", local);
         }
     }
-    const graph::PanGraph &graph = artifact.graph();
-    loaded->stepStarts.resize(graph.pathCount());
-    for (graph::PathId p = 0; p < graph.pathCount(); ++p) {
-        const auto &steps = graph.pathSteps(p);
-        auto &starts = loaded->stepStarts[p];
-        starts.reserve(steps.size() + 1);
-        uint64_t at = 0;
-        for (graph::Handle step : steps) {
-            starts.push_back(at);
-            at += graph.nodeLength(step.node());
-        }
-        starts.push_back(at);
-    }
+    loaded->stepStarts = detail::pathStepStarts(artifact.graph());
     return loaded;
 }
 
@@ -306,9 +292,8 @@ struct ShardSeedScratch
     std::vector<std::span<const index::GraphSeedHit>> buckets;
     std::vector<size_t> bucketSlot;
     std::vector<size_t> heads;
-    // mem lockstep state
-    std::vector<uint8_t> rc;
-    std::vector<index::FmIndex::SaRange> ranges, next, cur;
+    // mem seeding set, one member per pinned shard
+    std::vector<detail::MemSource> memSources;
 };
 
 /** Charge shard.cross_shard_reads when >1 shard contributed. */
@@ -423,14 +408,13 @@ class ShardMinimizerSeeder final : public Seeder
 };
 
 /**
- * MEM seeding over a shard set: lockstep SMEM enumeration across the
- * per-shard FM-indexes. The shard FM texts partition the monolith's
- * path text, so a pattern's monolithic occurrence count is the sum of
- * its per-shard counts — backward extension continues while that sum
- * is positive, which reproduces the monolithic b(e) sequence (and
- * therefore the exact SMEM set) step for step. Occurrences are then
- * located and projected shard-locally; the canonical anchor sort
- * erases enumeration order, so only the set matters.
+ * MEM seeding over a shard set: detail::collectMemAnchors with one
+ * member per shard. The shard FM texts partition the monolith's path
+ * text, so index::SmemSet's lockstep enumeration (a pattern occurs iff
+ * it occurs in some shard) yields the monolith's SMEM set, and the
+ * summed per-shard occurrence counts its repeat filter. Occurrences
+ * project shard-locally through SNOD/SLIN; the canonical anchor order
+ * erases which shard produced them.
  */
 class ShardMemSeeder final : public Seeder
 {
@@ -451,23 +435,20 @@ class ShardMemSeeder final : public Seeder
         if (read.size() < k_)
             return;
         ShardSeedScratch &ws = core::threadScratch<ShardSeedScratch>();
-        const auto &seed_shards = source_.seedShards_;
         ws.pins.clear();
-        for (uint32_t shard : seed_shards)
+        ws.memSources.clear();
+        for (uint32_t shard : source_.seedShards_) {
             ws.pins.push_back(source_.cache_->get(shard));
-        ws.touched.assign(seed_shards.size(), 0);
-
-        const auto read_length = static_cast<uint32_t>(read.size());
-        collectStrand(ws, read.codes(), false, read_length, anchors);
-
-        ws.rc.resize(read.size());
-        const auto &codes = read.codes();
-        for (size_t i = 0; i < codes.size(); ++i)
-            ws.rc[i] = seq::complementBase(codes[codes.size() - 1 - i]);
-        collectStrand(ws, ws.rc, true, read_length, anchors);
-
-        canonicalizeMemAnchors(anchors);
-        detail::addSeedAnchors(anchors.size());
+            const LoadedShard &loaded = *ws.pins.back();
+            const store::Artifact &artifact = *loaded.artifact;
+            ws.memSources.push_back(
+                {artifact.fmIndex(), &artifact.graph(),
+                 &loaded.stepStarts, artifact.origNodes(),
+                 artifact.linearBases()});
+        }
+        ws.touched.assign(ws.pins.size(), 0);
+        detail::collectMemAnchors(ws.memSources, read, k_,
+                                  maxOccurrences_, anchors, ws.touched);
         noteCrossShard(ws.touched);
         ws.pins.clear();
     }
@@ -475,134 +456,6 @@ class ShardMemSeeder final : public Seeder
     SeederKind kind() const override { return SeederKind::kMem; }
 
   private:
-    void
-    collectStrand(ShardSeedScratch &ws, std::span<const uint8_t> codes,
-                  bool rc_strand, uint32_t read_length,
-                  std::vector<Anchor> &anchors) const
-    {
-        const auto m = static_cast<uint32_t>(codes.size());
-        const size_t shard_count = ws.pins.size();
-
-        auto flush = [&](uint32_t begin, uint32_t end,
-                         const std::vector<index::FmIndex::SaRange>
-                             &mem_ranges) {
-            if (end - begin < k_)
-                return;
-            detail::addSeedMems(1);
-            uint64_t total = 0;
-            for (const auto &range : mem_ranges)
-                total += range.size();
-            if (total > maxOccurrences_) {
-                detail::addSeedDroppedRepetitive();
-                return;
-            }
-            detail::addSeedMemOccurrences(total);
-            const uint32_t length = end - begin;
-            for (size_t slot = 0; slot < shard_count; ++slot) {
-                const auto &range = mem_ranges[slot];
-                if (range.empty())
-                    continue;
-                const LoadedShard &shard = *ws.pins[slot];
-                const store::Artifact &artifact = *shard.artifact;
-                const index::FmIndex &fm = *artifact.fmIndex();
-                const graph::PanGraph &graph = artifact.graph();
-                ws.touched[slot] = 1;
-                for (uint64_t r = range.lo; r < range.hi; ++r) {
-                    const uint64_t text_pos = fm.locate(r);
-                    const auto pos = fm.resolve(text_pos);
-                    const auto &starts = shard.stepStarts[pos.path];
-                    const auto &steps = graph.pathSteps(pos.path);
-                    // Identical windowing to MemSeeder::collectStrand:
-                    // k-length sub-anchors at stride k plus one
-                    // flushed against the MEM end.
-                    uint32_t window = 0;
-                    bool flushed = false;
-                    while (true) {
-                        if (window + k_ > length) {
-                            if (flushed || length % k_ == 0)
-                                break;
-                            window = length - k_;
-                            flushed = true;
-                        }
-                        const uint64_t path_off = pos.offset + window;
-                        const auto step = static_cast<size_t>(
-                            std::upper_bound(starts.begin(),
-                                             starts.end(), path_off) -
-                            starts.begin() - 1);
-                        const graph::Handle handle = steps[step];
-                        const uint64_t in_step =
-                            path_off - starts[step];
-                        const auto node_length =
-                            static_cast<uint64_t>(
-                                graph.nodeLength(handle.node()));
-                        const auto offset = static_cast<uint32_t>(
-                            handle.isReverse()
-                                ? node_length - 1 - in_step
-                                : in_step);
-                        Anchor anchor;
-                        anchor.queryPos =
-                            rc_strand ? read_length -
-                                            (begin + window) - k_
-                                      : begin + window;
-                        anchor.node =
-                            artifact.origNodes()[handle.node()];
-                        anchor.nodeOffset = offset;
-                        anchor.reverse =
-                            rc_strand != handle.isReverse();
-                        anchor.linearPos =
-                            artifact.linearBases()[handle.node()] +
-                            offset;
-                        anchors.push_back(anchor);
-                        if (flushed)
-                            break;
-                        window += k_;
-                    }
-                }
-            }
-        };
-
-        // Lockstep SMEM scan (FmIndex::collectMems with the single
-        // range replaced by one range per shard and "empty" meaning
-        // "empty in every shard").
-        uint32_t cur_begin = 0, cur_end = 0;
-        bool have = false;
-        ws.cur.assign(shard_count, {});
-        ws.ranges.resize(shard_count);
-        ws.next.resize(shard_count);
-        for (uint32_t e = 1; e <= m; ++e) {
-            for (size_t slot = 0; slot < shard_count; ++slot)
-                ws.ranges[slot] =
-                    ws.pins[slot]->artifact->fmIndex()->fullRange();
-            uint32_t b = e;
-            while (b > 0) {
-                uint64_t total_next = 0;
-                for (size_t slot = 0; slot < shard_count; ++slot) {
-                    ws.next[slot] =
-                        ws.pins[slot]->artifact->fmIndex()->extend(
-                            ws.ranges[slot], codes[b - 1]);
-                    total_next += ws.next[slot].size();
-                }
-                if (total_next == 0)
-                    break;
-                std::swap(ws.ranges, ws.next);
-                --b;
-            }
-            if (!have || b > cur_begin) {
-                if (have)
-                    flush(cur_begin, cur_end, ws.cur);
-                cur_begin = b;
-                cur_end = e;
-                ws.cur = ws.ranges;
-                have = true;
-            } else {
-                cur_end = e;
-                ws.cur = ws.ranges;
-            }
-        }
-        if (have)
-            flush(cur_begin, cur_end, ws.cur);
-    }
-
     const ShardSetSource &source_;
     uint32_t k_;
     size_t maxOccurrences_;

@@ -27,6 +27,7 @@
 #include "seq/fasta.hpp"
 #include "seq/read_sim.hpp"
 #include "synth/pangenome_sim.hpp"
+#include "temp_path.hpp"
 
 namespace pgb {
 namespace {
@@ -339,7 +340,7 @@ TEST_F(FaultTest, MapReadsPropagatesWorkerFault)
 TEST_F(FaultTest, CheckedWriterInjectedFlushFailureIsFatal)
 {
     const std::string path =
-        ::testing::TempDir() + "pgb_fault_writer.txt";
+        test::testTempPath("pgb_fault_writer.txt");
     core::fault::arm("io.flush", 1);
     core::CheckedWriter writer(path);
     writer.stream() << "payload\n";
@@ -357,7 +358,7 @@ TEST_F(FaultTest, CheckedWriterUnwritablePathIsFatal)
 TEST_F(FaultTest, CheckedWriterCleanPathSucceeds)
 {
     const std::string path =
-        ::testing::TempDir() + "pgb_fault_writer_ok.txt";
+        test::testTempPath("pgb_fault_writer_ok.txt");
     core::CheckedWriter writer(path);
     writer.stream() << "ok\n";
     writer.finish();
@@ -368,7 +369,7 @@ TEST_F(FaultTest, WriteGfaFilePropagatesInjectedWriteFailure)
 {
     graph::PanGraph g;
     g.addNode(seq::Sequence("s", "ACGT"));
-    const std::string path = ::testing::TempDir() + "pgb_fault.gfa";
+    const std::string path = test::testTempPath("pgb_fault.gfa");
     core::fault::arm("io.flush", 1);
     EXPECT_THROW(graph::writeGfaFile(path, g), FatalError);
     std::remove(path.c_str());
@@ -378,7 +379,7 @@ TEST_F(FaultTest, WriteFastaFilePropagatesInjectedWriteFailure)
 {
     std::vector<seq::Sequence> records;
     records.emplace_back("a", "ACGT");
-    const std::string path = ::testing::TempDir() + "pgb_fault.fa";
+    const std::string path = test::testTempPath("pgb_fault.fa");
     core::fault::arm("io.flush", 1);
     EXPECT_THROW(seq::writeFastaFile(path, records), FatalError);
     std::remove(path.c_str());
@@ -388,7 +389,7 @@ TEST_F(FaultTest, WriteFastqFilePropagatesInjectedWriteFailure)
 {
     std::vector<seq::Sequence> records;
     records.emplace_back("a", "ACGT");
-    const std::string path = ::testing::TempDir() + "pgb_fault.fq";
+    const std::string path = test::testTempPath("pgb_fault.fq");
     core::fault::arm("io.flush", 1);
     EXPECT_THROW(seq::writeFastqFile(path, records), FatalError);
     std::remove(path.c_str());

@@ -6,9 +6,12 @@
  * operation is proven against a brute-force oracle that shares no
  * code with the index: find/count/locate against a naive per-path
  * scan, and SMEM enumeration against an O(n*m) dynamic-programming
- * enumerator, over randomized texts/queries (>= 1000 cases) and
- * adversarial shapes (tandem repeats, homopolymers, all-N), at
- * multiple (min_length, sample_rate) settings. The ctest lanes run
+ * enumerator, over randomized texts/queries (>= 1000 cases),
+ * adversarial shapes (tandem repeats, homopolymers, all-N) and the
+ * seeding regime (read-length queries at min_length 15 on both
+ * strands of haplotype-like texts), at multiple (min_length,
+ * sample_rate) settings and over texts split across several indexes.
+ * The same DP bounds the enumerator's work. The ctest lanes run
  * this file under PGB_THREADS=1 and 8; identical results prove the
  * index is thread-count independent.
  */
@@ -16,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -102,17 +106,13 @@ struct OracleMem
 };
 
 /**
- * Brute-force SMEM enumeration sharing no machinery with the index.
  * longest[b] = length of the longest match of query starting at b
  * anywhere in any text, via the classic backward extension DP
  * (match[b][t] = query[b]==text[t] ? 1 + match[b+1][t+1] : 0).
- * [b, b+longest[b]) is an SMEM iff it is long enough and not
- * contained in the (always longer-or-equal reaching) match starting
- * one position earlier.
  */
-std::vector<OracleMem>
-oracleMems(const std::vector<std::string> &texts,
-           const std::string &query, uint32_t min_length)
+std::vector<size_t>
+oracleLongest(const std::vector<std::string> &texts,
+              const std::string &query)
 {
     const size_t m = query.size();
     std::vector<size_t> longest(m + 1, 0);
@@ -128,6 +128,21 @@ oracleMems(const std::vector<std::string> &texts,
             std::swap(next, cur);
         }
     }
+    return longest;
+}
+
+/**
+ * Brute-force SMEM enumeration sharing no machinery with the index:
+ * [b, b+longest[b]) is an SMEM iff it is long enough and not
+ * contained in the (always longer-or-equal reaching) match starting
+ * one position earlier.
+ */
+std::vector<OracleMem>
+oracleMems(const std::vector<std::string> &texts,
+           const std::string &query, uint32_t min_length)
+{
+    const size_t m = query.size();
+    const std::vector<size_t> longest = oracleLongest(texts, query);
     std::vector<OracleMem> mems;
     for (size_t b = 0; b < m; ++b) {
         const size_t len = longest[b];
@@ -143,15 +158,20 @@ oracleMems(const std::vector<std::string> &texts,
     return mems;
 }
 
+/** SMEMs of @p query over @p indexes as (begin, end, summed count). */
 std::vector<OracleMem>
-fmMems(const FmIndex &fm, const std::string &query, uint32_t min_length)
+setMems(const std::vector<const FmIndex *> &indexes,
+        const std::string &query, uint32_t min_length)
 {
-    std::vector<FmIndex::Mem> raw;
-    fm.collectMems(codesOf(query), min_length, raw);
+    index::SmemSet set;
+    set.collect(indexes, codesOf(query), min_length);
     std::vector<OracleMem> mems;
-    for (const auto &mem : raw)
-        mems.push_back({mem.queryBegin, mem.queryEnd,
-                        mem.range.size()});
+    for (size_t i = 0; i < set.size(); ++i) {
+        uint64_t total = 0;
+        for (const auto &range : set.ranges(i))
+            total += range.size();
+        mems.push_back({set.queryBegin(i), set.queryEnd(i), total});
+    }
     return mems;
 }
 
@@ -293,7 +313,7 @@ checkMems(const std::vector<std::string> &texts,
     const graph::PanGraph graph = pathGraph(texts);
     const FmIndex fm(graph, sample_rate);
     const auto expected = oracleMems(texts, query, min_length);
-    const auto got = fmMems(fm, query, min_length);
+    const auto got = setMems({&fm}, query, min_length);
     EXPECT_EQ(got, expected)
         << "query " << query << " min_length " << min_length
         << " sample_rate " << sample_rate;
@@ -386,13 +406,16 @@ TEST(FmIndex, SmemOccurrenceRangesLocateExactly)
     for (int q = 0; q < 50; ++q) {
         const std::string query =
             relatedQuery(rng, texts, 10 + rng.below(40));
-        std::vector<FmIndex::Mem> mems;
-        fm.collectMems(codesOf(query), 5, mems);
-        for (const auto &mem : mems) {
-            const std::string sub = query.substr(
-                mem.queryBegin, mem.queryEnd - mem.queryBegin);
+        index::SmemSet mems;
+        const FmIndex *const one = &fm;
+        mems.collect({&one, 1}, codesOf(query), 5);
+        for (size_t i = 0; i < mems.size(); ++i) {
+            const std::string sub =
+                query.substr(mems.queryBegin(i),
+                             mems.queryEnd(i) - mems.queryBegin(i));
+            const FmIndex::SaRange range = mems.ranges(i)[0];
             std::vector<std::pair<uint32_t, uint64_t>> located;
-            for (uint64_t r = mem.range.lo; r < mem.range.hi; ++r) {
+            for (uint64_t r = range.lo; r < range.hi; ++r) {
                 const auto pos = fm.resolve(fm.locate(r));
                 located.emplace_back(pos.path, pos.offset);
             }
@@ -401,6 +424,210 @@ TEST(FmIndex, SmemOccurrenceRangesLocateExactly)
                 << "query " << query << " smem " << sub;
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// The seeding regime: min_length 15, read-length queries against
+// haplotype-like texts, on both strands
+// ---------------------------------------------------------------------
+
+/** @p count copies of one random backbone, each with its own SNPs. */
+std::vector<std::string>
+haplotypeTexts(core::Xoshiro256StarStar &rng, size_t length,
+               size_t count, double snp_rate)
+{
+    const std::string backbone = randomText(rng, length);
+    std::vector<std::string> texts(count, backbone);
+    for (std::string &text : texts)
+        for (char &c : text)
+            if (rng.chance(snp_rate))
+                c = "ACGT"[rng.below(4)];
+    return texts;
+}
+
+std::string
+reverseComplement(const std::string &text)
+{
+    std::string rc(text.rbegin(), text.rend());
+    for (char &c : rc)
+        c = c == 'A' ? 'T' : c == 'C' ? 'G' : c == 'G' ? 'C'
+                                                   : c == 'T' ? 'A' : c;
+    return rc;
+}
+
+/** A read-like query: a substring of one text with a few errors. */
+std::string
+readQuery(core::Xoshiro256StarStar &rng,
+          const std::vector<std::string> &texts, size_t length,
+          size_t errors)
+{
+    const std::string &text = texts[rng.below(texts.size())];
+    std::string query = text.substr(
+        rng.below(text.size() - length + 1), length);
+    for (size_t i = 0; i < errors; ++i)
+        query[rng.below(length)] = "ACGT"[rng.below(4)];
+    return query;
+}
+
+TEST(FmIndex, SmemsMatchOracleForReadLengthQueries)
+{
+    core::Xoshiro256StarStar rng(0x5eed15);
+    const auto texts = haplotypeTexts(rng, 4000, 4, 0.01);
+    size_t nonempty = 0;
+    for (int q = 0; q < 40; ++q) {
+        const std::string query =
+            readQuery(rng, texts, 150, rng.below(6));
+        nonempty += checkMems(texts, query, 15, 8) ? 1 : 0;
+    }
+    for (int q = 0; q < 2; ++q)
+        checkMems(texts, readQuery(rng, texts, 3000, 30), 15, 8);
+    EXPECT_EQ(nonempty, 40u);
+}
+
+TEST(FmIndex, SmemsMatchOracleForReverseComplementQueries)
+{
+    // Forward-only texts, reads from the other strand: the window
+    // skip's regime, where nearly every window is absent.
+    core::Xoshiro256StarStar rng(0x4c0e);
+    const auto texts = haplotypeTexts(rng, 4000, 4, 0.01);
+    for (int q = 0; q < 40; ++q) {
+        const std::string query =
+            reverseComplement(readQuery(rng, texts, 150, rng.below(4)));
+        checkMems(texts, query, 15, 8);
+        checkMems(texts, query, 8, 8);
+    }
+    // Chimeras: a wrong-strand prefix, so the first window that
+    // occurs sits mid-query, and a wrong-strand suffix after it.
+    for (int q = 0; q < 20; ++q) {
+        const std::string fwd = readQuery(rng, texts, 80, 1);
+        const std::string rc =
+            reverseComplement(readQuery(rng, texts, 70, 0));
+        EXPECT_GT(checkMems(texts, rc + fwd, 15, 8), 0u);
+        checkMems(texts, fwd + rc, 15, 8);
+    }
+}
+
+TEST(FmIndex, SmemsWhenMinLengthReachesQueryLength)
+{
+    core::Xoshiro256StarStar rng(0x13e9);
+    const auto texts = haplotypeTexts(rng, 600, 3, 0.02);
+    for (int q = 0; q < 30; ++q) {
+        const std::string query =
+            readQuery(rng, texts, 5 + rng.below(40), rng.below(2));
+        const auto m = static_cast<uint32_t>(query.size());
+        checkMems(texts, query, m, 4);
+        checkMems(texts, query, m + 1, 4);
+        checkMems(texts, query, 2 * m + 7, 4);
+    }
+    // An exact whole-query match at min_length == m is one SMEM.
+    const std::string exact = texts[0].substr(100, 30);
+    EXPECT_EQ(checkMems(texts, exact, 30, 4), 1u);
+    EXPECT_EQ(checkMems(texts, exact, 31, 4), 0u);
+}
+
+TEST(FmIndex, LockstepOverSplitTextsMatchesSingleIndexAndOracle)
+{
+    // A shard set's FM texts partition the monolith's: enumerating
+    // over the parts in lockstep must give the single index's SMEMs,
+    // with each part's range counting exactly its own occurrences.
+    core::Xoshiro256StarStar rng(0x10c5);
+    auto texts = haplotypeTexts(rng, 1500, 5, 0.02);
+    texts.push_back(randomText(rng, 900, 0.01));
+    const FmIndex whole(pathGraph(texts), 4);
+    for (size_t parts = 1; parts <= 4; ++parts) {
+        std::vector<std::vector<std::string>> groups(parts);
+        for (size_t t = 0; t < texts.size(); ++t)
+            groups[t % parts].push_back(texts[t]);
+        std::vector<std::unique_ptr<FmIndex>> owned;
+        std::vector<const FmIndex *> indexes;
+        for (const auto &group : groups) {
+            owned.push_back(
+                std::make_unique<FmIndex>(pathGraph(group), 4));
+            indexes.push_back(owned.back().get());
+        }
+        for (int q = 0; q < 12; ++q) {
+            std::string query = readQuery(rng, texts, 150, rng.below(5));
+            if (q % 3 == 0)
+                query = reverseComplement(query);
+            for (const uint32_t min_length : {1u, 5u, 15u}) {
+                const auto oracle = oracleMems(texts, query, min_length);
+                ASSERT_EQ(setMems({&whole}, query, min_length), oracle)
+                    << "query " << query;
+                ASSERT_EQ(setMems(indexes, query, min_length), oracle)
+                    << parts << " parts, query " << query;
+
+                index::SmemSet set;
+                set.collect(indexes, codesOf(query), min_length);
+                for (size_t i = 0; i < set.size(); ++i) {
+                    const std::string sub = query.substr(
+                        set.queryBegin(i),
+                        set.queryEnd(i) - set.queryBegin(i));
+                    for (size_t g = 0; g < parts; ++g)
+                        EXPECT_EQ(set.ranges(i)[g].size(),
+                                  naiveOccurrences(groups[g], sub).size())
+                            << "part " << g << " smem " << sub;
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Work bounds: the enumerator must not drift back to restarting a
+// backward search at every end position
+// ---------------------------------------------------------------------
+
+TEST(FmIndex, ExactMatchCostsAtMostLengthPlusMinLengthSteps)
+{
+    core::Xoshiro256StarStar rng(0xe8ac);
+    const auto texts = haplotypeTexts(rng, 5000, 4, 0.01);
+    const FmIndex fm(pathGraph(texts), 8);
+    const FmIndex *const one = &fm;
+    index::SmemSet set;
+    for (const size_t m : {15u, 16u, 150u, 1000u, 4000u}) {
+        for (int q = 0; q < 5; ++q) {
+            const std::string query = readQuery(rng, texts, m, 0);
+            for (const uint32_t k : {1u, 15u, 31u}) {
+                const uint64_t steps =
+                    set.collect({&one, 1}, codesOf(query), k);
+                if (k <= m) {
+                    ASSERT_EQ(set.size(), 1u);
+                    EXPECT_EQ(set.queryEnd(0) - set.queryBegin(0), m);
+                }
+                EXPECT_LE(steps, m + k) << "m " << m << " k " << k;
+            }
+        }
+    }
+}
+
+TEST(FmIndex, FewerStepsThanRestartingAtEveryEnd)
+{
+    // The replaced scan restarted a backward search at each end e and
+    // paid e - b(e) steps there; the DP oracle yields b(e) directly.
+    core::Xoshiro256StarStar rng(0x57e9);
+    const auto texts = haplotypeTexts(rng, 3000, 4, 0.01);
+    const FmIndex fm(pathGraph(texts), 8);
+    const FmIndex *const one = &fm;
+    index::SmemSet set;
+    uint64_t total_steps = 0, total_restart = 0;
+    for (int q = 0; q < 20; ++q) {
+        std::string query = readQuery(rng, texts, 150, rng.below(6));
+        if (q % 2 == 1)
+            query = reverseComplement(query);
+        const std::vector<size_t> longest = oracleLongest(texts, query);
+        uint64_t restart = 0;
+        for (size_t e = 1; e <= query.size(); ++e) {
+            size_t b = 0;
+            while (b + longest[b] < e)
+                ++b;
+            restart += e - b;
+        }
+        const uint64_t steps = set.collect({&one, 1}, codesOf(query), 15);
+        EXPECT_LT(steps, restart) << "query " << query;
+        total_steps += steps;
+        total_restart += restart;
+    }
+    EXPECT_LT(4 * total_steps, total_restart);
 }
 
 // ---------------------------------------------------------------------

@@ -35,6 +35,7 @@
 #include "seq/read_sim.hpp"
 #include "store/store.hpp"
 #include "synth/pangenome_sim.hpp"
+#include "temp_path.hpp"
 
 namespace {
 
@@ -201,7 +202,7 @@ artifactContext()
             const index::MinimizerIndex minimizers(graph, 15, 10);
             const index::GbwtIndex gbwt(graph);
             const std::string path =
-                testing::TempDir() + "golden_fixture.pgbi";
+                test::testTempPath("golden_fixture.pgbi");
             store::writeArtifact(path, graph, minimizers, &gbwt);
             return pipeline::MappingContext::Builder()
                 .fromArtifact(path)
@@ -243,7 +244,7 @@ memArtifactContext()
             const index::MinimizerIndex minimizers(graph, 15, 10);
             const index::FmIndex fm(graph);
             const std::string path =
-                testing::TempDir() + "golden_fixture_mem.pgbi";
+                test::testTempPath("golden_fixture_mem.pgbi");
             store::writeArtifact(path, graph, minimizers, nullptr, &fm);
             return pipeline::MappingContext::Builder()
                 .fromArtifact(path)

@@ -26,6 +26,7 @@
 #include "seq/read_sim.hpp"
 #include "store/store.hpp"
 #include "synth/pangenome_sim.hpp"
+#include "temp_path.hpp"
 
 namespace {
 
@@ -227,7 +228,7 @@ TEST(Seeder, MemSeederViaArtifactMatchesInMemoryBuild)
 
     const index::MinimizerIndex minimizers(graph, 15, 10);
     const index::FmIndex fm(graph);
-    const std::string path = testing::TempDir() + "seeder_fixture.pgbi";
+    const std::string path = test::testTempPath("seeder_fixture.pgbi");
     store::writeArtifact(path, graph, minimizers, nullptr, &fm);
     const auto loaded = pipeline::MappingContext::Builder()
                             .fromArtifact(path)

@@ -43,6 +43,7 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "synth/pangenome_sim.hpp"
+#include "temp_path.hpp"
 
 namespace {
 
@@ -501,7 +502,7 @@ TEST(ServeServer, ServedEqualsDirectMapBatch)
     ASSERT_TRUE(server.waitReady(10000));
 
     const std::string dump_path =
-        testing::TempDir() + "pgb_served_dump.tsv";
+        test::testTempPath("pgb_served_dump.tsv");
     serve::LoadgenConfig loadgen;
     loadgen.socketPath = socket_path;
     loadgen.connections = 2;
@@ -956,7 +957,7 @@ struct ArtifactFixture
     ArtifactFixture()
     {
         const ServeFixture &fx = serveFixture();
-        path = testing::TempDir() + "pgb_serve_reload.pgbi";
+        path = test::testTempPath("pgb_serve_reload.pgbi");
         const index::MinimizerIndex minimizers(fx.pangenome.graph, 15,
                                                10, 1);
         const index::GbwtIndex gbwt(fx.pangenome.graph, true, 1);
@@ -1139,7 +1140,7 @@ TEST(ServeServer, ReloadUnderLoadKeepsDigestIdentity)
     });
 
     const std::string dump_path =
-        testing::TempDir() + "pgb_reload_dump.tsv";
+        test::testTempPath("pgb_reload_dump.tsv");
     serve::LoadgenConfig loadgen;
     loadgen.socketPath = socket_path;
     loadgen.connections = 2;

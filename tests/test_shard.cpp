@@ -29,6 +29,7 @@
 #include "store/manifest.hpp"
 #include "store/shard_build.hpp"
 #include "synth/pangenome_sim.hpp"
+#include "temp_path.hpp"
 
 namespace {
 
@@ -134,7 +135,7 @@ shardInto(const graph::PanGraph &graph, const std::string &stem,
     params.seeder = seeder;
     params.targetShardMb = target_mb;
     params.threads = 4;
-    const std::string path = testing::TempDir() + stem + ".pgbs";
+    const std::string path = test::testTempPath(stem + ".pgbs");
     return store::buildShardSet(graph, params, path);
 }
 
@@ -258,7 +259,7 @@ TEST(Shard, PathlessGraphRefusesToShard)
 {
     graph::PanGraph pathless;
     pathless.addNode(seq::Sequence("", "ACGTACGTACGTACGT"));
-    const std::string path = testing::TempDir() + "pathless.pgbs";
+    const std::string path = test::testTempPath("pathless.pgbs");
     try {
         store::buildShardSet(pathless, {}, path);
         FAIL() << "expected FatalError";

@@ -26,6 +26,7 @@
 #include "store/format.hpp"
 #include "store/store.hpp"
 #include "synth/pangenome_sim.hpp"
+#include "temp_path.hpp"
 
 namespace {
 
@@ -62,7 +63,7 @@ struct StoreFixture
         minimizers = std::make_unique<index::MinimizerIndex>(
             pangenome.graph, 15, 10);
         gbwt = std::make_unique<index::GbwtIndex>(pangenome.graph);
-        artifactPath = testing::TempDir() + "pgb_store_fixture.pgbi";
+        artifactPath = test::testTempPath("pgb_store_fixture.pgbi");
         store::writeArtifact(artifactPath, pangenome.graph,
                              *minimizers, gbwt.get());
     }
@@ -79,7 +80,7 @@ fixture()
 std::string
 copyArtifact(const std::string &name)
 {
-    const std::string dst = testing::TempDir() + name;
+    const std::string dst = test::testTempPath(name);
     std::ifstream in(fixture().artifactPath, std::ios::binary);
     std::ofstream out(dst, std::ios::binary | std::ios::trunc);
     out << in.rdbuf();
@@ -160,7 +161,7 @@ TEST(StoreRoundTrip, GbwtAnswersIdenticalQueries)
 
 TEST(StoreRoundTrip, ArtifactWithoutGbwtLoadsWithNullGbwt)
 {
-    const std::string path = testing::TempDir() + "no_gbwt.pgbi";
+    const std::string path = test::testTempPath("no_gbwt.pgbi");
     store::writeArtifact(path, fixture().pangenome.graph,
                          *fixture().minimizers, nullptr);
     const auto artifact = store::Artifact::load(path);
@@ -175,7 +176,7 @@ TEST(StoreRoundTrip, RewriteOfLoadedArtifactIsByteIdentical)
     // Serialization is deterministic: load + rewrite reproduces the
     // file byte for byte (the build-once guarantee).
     const auto artifact = store::Artifact::load(fixture().artifactPath);
-    const std::string path = testing::TempDir() + "rewrite.pgbi";
+    const std::string path = test::testTempPath("rewrite.pgbi");
     store::writeArtifact(path, artifact->graph(), artifact->minimizers(),
                          artifact->gbwt());
     std::ifstream a(fixture().artifactPath, std::ios::binary);
@@ -191,9 +192,9 @@ TEST(StoreRoundTrip, RewriteOfLoadedArtifactIsByteIdentical)
 
 TEST(StoreFail, MissingFileIsFatal)
 {
-    EXPECT_THROW(store::Artifact::load(testing::TempDir() +
-                                       "no_such_artifact.pgbi"),
-                 core::FatalError);
+    EXPECT_THROW(
+        store::Artifact::load(test::testTempPath("no_such_artifact.pgbi")),
+        core::FatalError);
 }
 
 TEST(StoreFail, FlippedPayloadByteFailsChecksum)
@@ -294,7 +295,7 @@ TEST(StoreFail, FmSectionRoundTripsAndValidates)
     // A healthy FM-bearing artifact loads with view-mode FM spans that
     // answer queries identically to the built index.
     const index::FmIndex fm(fixture().pangenome.graph);
-    const std::string path = testing::TempDir() + "with_fm.pgbi";
+    const std::string path = test::testTempPath("with_fm.pgbi");
     store::writeArtifact(path, fixture().pangenome.graph,
                          *fixture().minimizers, nullptr, &fm);
     const auto artifact = store::Artifact::load(path);
@@ -335,7 +336,7 @@ TEST_F(StoreFaultTest, EveryLoadSiteFailsClosed)
 
 TEST_F(StoreFaultTest, FailedWriteLeavesNoPartialArtifact)
 {
-    const std::string path = testing::TempDir() + "failed_write.pgbi";
+    const std::string path = test::testTempPath("failed_write.pgbi");
     core::fault::arm("io.flush", 1);
     EXPECT_THROW(store::writeArtifact(path, fixture().pangenome.graph,
                                       *fixture().minimizers,
