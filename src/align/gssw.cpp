@@ -15,6 +15,15 @@ gsswWorkspace()
 
 } // namespace detail
 
+void
+gsswAlignInto(const graph::LocalGraph &graph,
+              std::span<const uint8_t> query, const ScoreParams &params,
+              const GsswOptions &options, GsswResult &result)
+{
+    core::NullProbe probe;
+    gsswAlignInto(graph, query, params, options, result, probe);
+}
+
 GsswResult
 gsswAlign(const graph::LocalGraph &graph, std::span<const uint8_t> query,
           const ScoreParams &params, const GsswOptions &options)
@@ -109,7 +118,7 @@ gsswTraceback(const graph::LocalGraph &graph,
               std::span<const uint8_t> query, const ScoreParams &params,
               const GsswResult &result)
 {
-    if (result.matrices.empty())
+    if (!result.hasMatrices())
         core::fatal("gsswTraceback: gsswAlign must keep matrices");
     if (result.best.queryEnd < 0)
         core::fatal("gsswTraceback: no alignment to trace");
@@ -120,18 +129,16 @@ gsswTraceback(const graph::LocalGraph &graph,
     auto h_at = [&](uint32_t node, int32_t i, int32_t j) -> int32_t {
         if (i < 0)
             return 0;
+        const std::span<const int16_t> h = result.nodeMatrix(node);
         if (result.matrixLayout == GsswMatrixLayout::kStriped) {
             const auto s = static_cast<size_t>(result.matrixSegLen);
             const auto w = static_cast<size_t>(result.matrixLanes);
             const auto row = static_cast<size_t>(i);
-            return result.matrices[node][static_cast<size_t>(j) * s * w +
-                                         (row % s) * w + row / s];
+            return h[static_cast<size_t>(j) * s * w + (row % s) * w +
+                     row / s];
         }
-        const auto len =
-            static_cast<int32_t>(graph.nodeLength(node));
-        return result.matrices[node][static_cast<size_t>(i) *
-                                         static_cast<size_t>(len) +
-                                     static_cast<size_t>(j)];
+        return h[static_cast<size_t>(i) * graph.nodeLength(node) +
+                 static_cast<size_t>(j)];
     };
     // Cells feeding column j of `node` horizontally: (node, j-1), or
     // every predecessor's last column when j == 0.

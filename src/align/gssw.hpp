@@ -15,14 +15,22 @@
  * matrix is row-major, written through the strided "swizzle" stores
  * that are the memory bottleneck the paper's §6.1 case study
  * attributes GSSW's extra memory stalls to. Timed runs keep the
- * kernel's native striped columns instead, streamed out with
- * non-temporal stores — the swizzle disappears from the hot loop and
- * moves into gsswTraceback's index math (see GsswMatrixLayout).
- * Switching keepMatrices off implements the further optimization §6.1
- * proposes. The matrices skip their zero-fill (every cell is written
- * back), and per-alignment temporaries — the striped profile and the
- * per-node final states — live in a thread-local workspace, so
- * repeated alignments do not touch malloc.
+ * kernel's native striped columns instead, copied out with plain
+ * vector stores — the swizzle disappears from the hot loop and moves
+ * into gsswTraceback's index math (see GsswMatrixLayout). Switching
+ * keepMatrices off implements the further optimization §6.1 proposes.
+ *
+ * Matrix memory: all nodes' matrices share one buffer
+ * (GsswResult::matrix). A node's matrix holds rows x (its length)
+ * int16 cells, rows being the padded striped column (segLen * lanes)
+ * or the query length (row-major), so node v's matrix starts at
+ * rows * (the LocalGraph base offset of v) and the buffer is
+ * rows * totalBases() long; GsswResult::matrixOffsets records those
+ * starts. gsswAlignInto resizes the buffer in place — no zero-fill,
+ * since every cell is written back — and the striped profile and
+ * per-node final states live in a thread-local workspace, so a
+ * GsswResult reused across alignments does not touch malloc once it
+ * has held its largest subgraph.
  *
  * Like sswAlign, the uninstrumented (NullProbe) entry dispatches to
  * the 16-lane AVX2 kernel when the runtime level allows; instrumented
@@ -56,7 +64,7 @@ struct GsswOptions
 };
 
 /**
- * H matrix of one node. Default-initialized on resize: the writeback
+ * H matrix buffer. Default-initialized on resize: the writeback
  * stores every cell, so zero-filling was pure cost.
  */
 using GsswMatrix =
@@ -82,20 +90,38 @@ enum class GsswMatrixLayout : uint8_t
     kStriped,
 };
 
-/** GSSW result: best local hit plus work/footprint accounting. */
+/**
+ * GSSW result: best local hit plus work/footprint accounting.
+ *
+ * The retained H matrices of all nodes share one buffer: node v's
+ * matrix is matrix[matrixOffsets[v], matrixOffsets[v + 1]), in
+ * `matrixLayout` order. gsswAlignInto reuses the buffer's capacity, so
+ * a result kept per thread stops allocating once it has seen its
+ * largest subgraph.
+ */
 struct GsswResult
 {
     GraphLocalHit best;
     uint64_t cellsComputed = 0; ///< DP cells evaluated (padded rows excl.)
-    /**
-     * H matrix per node (empty when keepMatrices is off), in
-     * `matrixLayout` order. gsswTraceback handles both layouts.
-     */
-    std::vector<GsswMatrix> matrices;
-    /** Layout of `matrices` (see GsswMatrixLayout). */
+    /** Every node's H matrix, back to back (empty: keepMatrices off). */
+    GsswMatrix matrix;
+    /** Node v's matrix starts at matrixOffsets[v]; n + 1 entries. */
+    std::vector<size_t> matrixOffsets;
+    /** Layout of each node's matrix (see GsswMatrixLayout). */
     GsswMatrixLayout matrixLayout = GsswMatrixLayout::kRowMajor;
     int matrixSegLen = 0; ///< striped-layout segment length
     int matrixLanes = 0;  ///< striped-layout lane count
+
+    /** Whether H matrices were kept (GsswOptions::keepMatrices). */
+    bool hasMatrices() const { return !matrixOffsets.empty(); }
+
+    /** H matrix of @p node (requires hasMatrices()). */
+    std::span<const int16_t>
+    nodeMatrix(uint32_t node) const
+    {
+        return {matrix.data() + matrixOffsets[node],
+                matrixOffsets[node + 1] - matrixOffsets[node]};
+    }
 };
 
 namespace detail {
@@ -115,10 +141,11 @@ GsswWorkspace &gsswWorkspace();
 
 /** Graph striped alignment with an explicit vector backend. */
 template <typename Vec, typename Probe>
-GsswResult
-gsswAlignT(const graph::LocalGraph &graph, std::span<const uint8_t> query,
-           const ScoreParams &params, const GsswOptions &options,
-           Probe &probe)
+void
+gsswAlignIntoT(const graph::LocalGraph &graph,
+               std::span<const uint8_t> query, const ScoreParams &params,
+               const GsswOptions &options, GsswResult &result,
+               Probe &probe)
 {
     if (!graph.isDag())
         core::fatal("gsswAlign: graph must be acyclic");
@@ -131,13 +158,34 @@ gsswAlignT(const graph::LocalGraph &graph, std::span<const uint8_t> query,
     const size_t m = profile.queryLength();
     const auto n_nodes = static_cast<uint32_t>(graph.nodeCount());
 
-    GsswResult result;
-    result.matrixLayout = Probe::enabled ? GsswMatrixLayout::kRowMajor
-                                         : GsswMatrixLayout::kStriped;
+    // Instrumented runs keep gssw's row-major matrices — the strided
+    // swizzle stores the paper's §6.1 blames — written in-kernel
+    // through the probe. Timed runs keep the kernel's native striped
+    // columns instead, copied out with straight vector stores (see
+    // GsswMatrixLayout::kStriped).
+    constexpr bool striped_keep = !Probe::enabled;
+    const size_t sw =
+        static_cast<size_t>(profile.segLen()) * profile.lanes();
+    result.best = GraphLocalHit{};
+    result.cellsComputed = 0;
+    result.matrixLayout = striped_keep ? GsswMatrixLayout::kStriped
+                                       : GsswMatrixLayout::kRowMajor;
     result.matrixSegLen = profile.segLen();
     result.matrixLanes = profile.lanes();
-    if (options.keepMatrices)
-        result.matrices.resize(n_nodes);
+    result.matrixOffsets.clear();
+    result.matrix.clear();
+    if (options.keepMatrices) {
+        // Every node keeps (rows per column) x (its length) cells, so
+        // node v's matrix starts at rows * (v's first base offset).
+        const size_t rows = striped_keep ? sw : m;
+        result.matrixOffsets.resize(n_nodes + 1);
+        for (uint32_t v = 0; v <= n_nodes; ++v) {
+            result.matrixOffsets[v] =
+                rows * (v < n_nodes ? graph.nodeOffset(v)
+                                    : graph.totalBases());
+        }
+        result.matrix.resize(rows * graph.totalBases());
+    }
 
     // Final (H, E) striped state of each processed node, indexed by
     // node id. Reused allocations from the workspace.
@@ -165,22 +213,11 @@ gsswAlignT(const graph::LocalGraph &graph, std::span<const uint8_t> query,
             }
         }
 
-        const auto &bases = graph.nodeSeq(node);
+        const std::span<const uint8_t> bases = graph.nodeSeq(node);
         const size_t len = bases.size();
-
-        // Instrumented runs keep gssw's row-major matrices — the
-        // strided swizzle stores the paper's §6.1 blames — written
-        // in-kernel through the probe. Timed runs keep the kernel's
-        // native striped columns instead, copied out with straight
-        // vector stores (see GsswMatrixLayout::kStriped).
-        constexpr bool striped_keep = !Probe::enabled;
-        const size_t sw =
-            static_cast<size_t>(profile.segLen()) * profile.lanes();
         int16_t *matrix = nullptr;
-        if (options.keepMatrices) {
-            result.matrices[node].resize((striped_keep ? sw : m) * len);
-            matrix = result.matrices[node].data();
-        }
+        if (options.keepMatrices)
+            matrix = result.matrix.data() + result.matrixOffsets[node];
 
         for (size_t j = 0; j < len; ++j) {
             probe.load(bases.data() + j, 1);
@@ -211,11 +248,9 @@ gsswAlignT(const graph::LocalGraph &graph, std::span<const uint8_t> query,
         }
     }
     if (result.best.score > 0) {
-        const size_t sw =
-            static_cast<size_t>(profile.segLen()) * profile.lanes();
         const int16_t *best_col =
-            (!Probe::enabled && options.keepMatrices)
-                ? result.matrices[result.best.node].data() +
+            (striped_keep && options.keepMatrices)
+                ? result.nodeMatrix(result.best.node).data() +
                       static_cast<size_t>(result.best.nodeOffset) * sw
                 : ws.bestH.data();
         result.best.queryEnd = stripedQueryEnd(
@@ -224,47 +259,71 @@ gsswAlignT(const graph::LocalGraph &graph, std::span<const uint8_t> query,
     }
     if (result.best.score >= kScoreSaturated)
         noteScoreSaturation();
-    return result;
 }
 
 #if defined(PGB_HAVE_AVX2_BUILD)
 /** 16-lane kernel, compiled with -mavx2 (align/ssw_avx2.cpp). */
-GsswResult gsswAlignAvx2(const graph::LocalGraph &graph,
-                         std::span<const uint8_t> query,
-                         const ScoreParams &params,
-                         const GsswOptions &options);
+void gsswAlignIntoAvx2(const graph::LocalGraph &graph,
+                       std::span<const uint8_t> query,
+                       const ScoreParams &params,
+                       const GsswOptions &options, GsswResult &result);
 #endif
 
 } // namespace detail
 
 /**
  * Align @p query to the DAG @p graph with local (Smith-Waterman)
- * semantics. Dispatches on the runtime SIMD level; instrumented
- * probes stay on the 8-lane layout.
+ * semantics, writing into @p result (every field is overwritten; its
+ * matrix buffers keep their capacity, so a reused result allocates
+ * nothing once warm). Dispatches on the runtime SIMD level;
+ * instrumented probes stay on the 8-lane layout.
  *
  * @param graph finalized acyclic LocalGraph (fatal otherwise)
  */
+template <typename Probe = core::NullProbe>
+void
+gsswAlignInto(const graph::LocalGraph &graph,
+              std::span<const uint8_t> query, const ScoreParams &params,
+              const GsswOptions &options, GsswResult &result,
+              Probe &probe)
+{
+#if defined(PGB_HAVE_AVX2_BUILD)
+    if constexpr (std::is_same_v<Probe, core::NullProbe>) {
+        if (activeSimdLevel() == SimdLevel::kAvx2) {
+            detail::gsswAlignIntoAvx2(graph, query, params, options,
+                                      result);
+            return;
+        }
+    }
+#endif
+    if (activeSimdLevel() == SimdLevel::kScalar) {
+        detail::gsswAlignIntoT<VScalar<8>>(graph, query, params, options,
+                                           result, probe);
+        return;
+    }
+    detail::gsswAlignIntoT<V8i16>(graph, query, params, options, result,
+                                  probe);
+}
+
+/** gsswAlignInto without instrumentation. */
+void gsswAlignInto(const graph::LocalGraph &graph,
+                   std::span<const uint8_t> query,
+                   const ScoreParams &params, const GsswOptions &options,
+                   GsswResult &result);
+
+/** Returning form of gsswAlignInto. */
 template <typename Probe = core::NullProbe>
 GsswResult
 gsswAlign(const graph::LocalGraph &graph, std::span<const uint8_t> query,
           const ScoreParams &params, const GsswOptions &options,
           Probe &probe)
 {
-#if defined(PGB_HAVE_AVX2_BUILD)
-    if constexpr (std::is_same_v<Probe, core::NullProbe>) {
-        if (activeSimdLevel() == SimdLevel::kAvx2)
-            return detail::gsswAlignAvx2(graph, query, params, options);
-    }
-#endif
-    if (activeSimdLevel() == SimdLevel::kScalar) {
-        return detail::gsswAlignT<VScalar<8>>(graph, query, params,
-                                              options, probe);
-    }
-    return detail::gsswAlignT<V8i16>(graph, query, params, options,
-                                     probe);
+    GsswResult result;
+    gsswAlignInto(graph, query, params, options, result, probe);
+    return result;
 }
 
-/** Convenience overload without instrumentation. */
+/** Returning form of gsswAlignInto, without instrumentation. */
 GsswResult gsswAlign(const graph::LocalGraph &graph,
                      std::span<const uint8_t> query,
                      const ScoreParams &params,

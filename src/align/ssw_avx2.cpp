@@ -27,13 +27,14 @@ sswAlignAvx2(const StripedProfile &profile,
     return sswAlignT<VAvx2>(profile, reference, params, probe);
 }
 
-GsswResult
-gsswAlignAvx2(const graph::LocalGraph &graph,
-              std::span<const uint8_t> query, const ScoreParams &params,
-              const GsswOptions &options)
+void
+gsswAlignIntoAvx2(const graph::LocalGraph &graph,
+                  std::span<const uint8_t> query,
+                  const ScoreParams &params, const GsswOptions &options,
+                  GsswResult &result)
 {
     core::NullProbe probe;
-    return gsswAlignT<VAvx2>(graph, query, params, options, probe);
+    gsswAlignIntoT<VAvx2>(graph, query, params, options, result, probe);
 }
 
 void

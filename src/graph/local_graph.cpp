@@ -1,19 +1,34 @@
 #include "graph/local_graph.hpp"
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
+#include <numeric>
 
 #include "core/logging.hpp"
 #include "seq/sequence.hpp"
 
 namespace pgb::graph {
 
-uint32_t
-LocalGraph::addNode(std::vector<uint8_t> bases)
+std::span<uint8_t>
+LocalGraph::appendNode(size_t length)
 {
-    totalBases_ += bases.size();
-    seqs_.push_back(std::move(bases));
+    const size_t begin = bases_.size();
+    if (length > std::numeric_limits<uint32_t>::max() - begin)
+        core::fatal("LocalGraph::appendNode: more than 2^32 bases");
+    bases_.resize(begin + length);
+    nodeStart_.push_back(static_cast<uint32_t>(begin));
     finalized_ = false;
-    return static_cast<uint32_t>(seqs_.size() - 1);
+    return {bases_.data() + begin, length};
+}
+
+uint32_t
+LocalGraph::addNode(std::span<const uint8_t> bases)
+{
+    const std::span<uint8_t> out = appendNode(bases.size());
+    if (!bases.empty())
+        std::memcpy(out.data(), bases.data(), bases.size());
+    return static_cast<uint32_t>(nodeCount() - 1);
 }
 
 uint32_t
@@ -25,16 +40,27 @@ LocalGraph::addNode(const std::string &bases)
 void
 LocalGraph::addEdge(uint32_t from, uint32_t to)
 {
-    if (from >= seqs_.size() || to >= seqs_.size())
+    if (from >= nodeCount() || to >= nodeCount())
         core::fatal("LocalGraph::addEdge: node index out of range");
     edges_.emplace_back(from, to);
     finalized_ = false;
 }
 
 void
+LocalGraph::clear()
+{
+    bases_.clear();
+    nodeStart_.clear();
+    edges_.clear();
+    topoOrder_.clear();
+    isDag_ = false;
+    finalized_ = false;
+}
+
+void
 LocalGraph::finalize()
 {
-    const auto n = static_cast<uint32_t>(seqs_.size());
+    const auto n = static_cast<uint32_t>(nodeCount());
     std::sort(edges_.begin(), edges_.end());
     edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
 
@@ -48,37 +74,31 @@ LocalGraph::finalize()
         adjOffsets_[i + 1] += adjOffsets_[i];
         predOffsets_[i + 1] += predOffsets_[i];
     }
+    // Edges are sorted by source, so successor lists are the targets
+    // in edge order; predecessor lists fill by cursor.
     adjTargets_.resize(edges_.size());
     predTargets_.resize(edges_.size());
-    std::vector<uint32_t> adj_fill(adjOffsets_.begin(),
-                                   adjOffsets_.end() - 1);
-    std::vector<uint32_t> pred_fill(predOffsets_.begin(),
-                                    predOffsets_.end() - 1);
-    for (const auto &[from, to] : edges_) {
-        adjTargets_[adj_fill[from]++] = to;
-        predTargets_[pred_fill[to]++] = from;
-    }
+    for (size_t e = 0; e < edges_.size(); ++e)
+        adjTargets_[e] = edges_[e].second;
+    work_.assign(predOffsets_.begin(), predOffsets_.end() - 1);
+    for (const auto &[from, to] : edges_)
+        predTargets_[work_[to]++] = from;
 
-    // Kahn's algorithm: topological order exists iff the graph is a DAG.
+    // Kahn's algorithm, FIFO from the zero-in-degree nodes in
+    // ascending index order (for determinism); topoOrder_ doubles as
+    // the queue. A topological order exists iff the graph is a DAG.
+    for (uint32_t v = 0; v < n; ++v)
+        work_[v] = predOffsets_[v + 1] - predOffsets_[v];
     topoOrder_.clear();
     topoOrder_.reserve(n);
-    std::vector<uint32_t> indegree(n, 0);
-    for (const auto &[from, to] : edges_)
-        ++indegree[to];
-    std::vector<uint32_t> frontier;
     for (uint32_t v = 0; v < n; ++v) {
-        if (indegree[v] == 0)
-            frontier.push_back(v);
+        if (work_[v] == 0)
+            topoOrder_.push_back(v);
     }
-    // Process in ascending index order for determinism.
-    size_t head = 0;
-    std::sort(frontier.begin(), frontier.end());
-    while (head < frontier.size()) {
-        const uint32_t v = frontier[head++];
-        topoOrder_.push_back(v);
-        for (uint32_t child : successors(v)) {
-            if (--indegree[child] == 0)
-                frontier.push_back(child);
+    for (size_t head = 0; head < topoOrder_.size(); ++head) {
+        for (uint32_t child : successors(topoOrder_[head])) {
+            if (--work_[child] == 0)
+                topoOrder_.push_back(child);
         }
     }
     isDag_ = topoOrder_.size() == n;
@@ -92,30 +112,26 @@ LocalGraph::splitTo1bp(std::vector<uint32_t> *first_base) const
 {
     if (!finalized_)
         core::panic("LocalGraph::splitTo1bp before finalize()");
+    // The base buffer carries over as is: base b of node v becomes
+    // node nodeStart_[v] + b, chained to its neighbor within the node.
     LocalGraph out;
-    std::vector<uint32_t> first(seqs_.size(), 0);
-    std::vector<uint32_t> last(seqs_.size(), 0);
-    for (uint32_t v = 0; v < seqs_.size(); ++v) {
-        const auto &bases = seqs_[v];
-        if (bases.empty())
+    out.bases_ = bases_;
+    out.nodeStart_.resize(bases_.size());
+    std::iota(out.nodeStart_.begin(), out.nodeStart_.end(), 0u);
+    auto last_base = [&](uint32_t v) {
+        return static_cast<uint32_t>(nodeStart_[v] + nodeLength(v) - 1);
+    };
+    for (uint32_t v = 0; v < nodeCount(); ++v) {
+        if (nodeLength(v) == 0)
             core::fatal("LocalGraph::splitTo1bp: empty node ", v);
-        uint32_t prev = 0;
-        for (size_t i = 0; i < bases.size(); ++i) {
-            const uint32_t id = out.addNode(
-                std::vector<uint8_t>{bases[i]});
-            if (i == 0)
-                first[v] = id;
-            else
-                out.addEdge(prev, id);
-            prev = id;
-        }
-        last[v] = prev;
+        for (uint32_t b = nodeStart_[v]; b < last_base(v); ++b)
+            out.edges_.emplace_back(b, b + 1);
     }
     for (const auto &[from, to] : edges_)
-        out.addEdge(last[from], first[to]);
+        out.edges_.emplace_back(last_base(from), nodeStart_[to]);
     out.finalize();
     if (first_base != nullptr)
-        *first_base = std::move(first);
+        *first_base = nodeStart_;
     return out;
 }
 

@@ -1,12 +1,15 @@
 #include "graph/pangraph.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <queue>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "core/logging.hpp"
+#include "core/scratch.hpp"
 
 namespace pgb::graph {
 
@@ -134,85 +137,180 @@ PanGraph::stats() const
     return stats;
 }
 
-LocalGraph
-PanGraph::extractSubgraph(Handle start, size_t radius,
+namespace {
+
+/**
+ * Per-thread working state of extractSubgraph's Dijkstra. Every handle
+ * the search reaches gets one Visit; `slots` is an open-addressing
+ * (linear probing) table from packed handle to its Visit index. The
+ * next call empties exactly the slots the visits occupy, so the reset
+ * costs the handles touched, not the table's high-water size.
+ */
+struct ExtractScratch
+{
+    static constexpr uint32_t kEmpty = UINT32_MAX;
+
+    struct Visit
+    {
+        size_t dist;
+        uint32_t packed;
+        uint32_t slot; ///< position in `slots`
+    };
+    struct QueueEntry
+    {
+        size_t dist;
+        uint32_t visit;
+    };
+
+    std::vector<uint32_t> slots; ///< Visit index, or kEmpty
+    std::vector<Visit> visits;
+    std::vector<QueueEntry> heap; ///< min-heap on dist
+    uint32_t shift = 0;           ///< 32 - log2(slots.size())
+
+    void
+    reset()
+    {
+        for (const Visit &visit : visits)
+            slots[visit.slot] = kEmpty;
+        visits.clear();
+        heap.clear();
+        if (slots.empty())
+            rehash(1024);
+    }
+
+    uint32_t
+    home(uint32_t packed) const
+    {
+        return (packed * 0x9E3779B1u) >> shift;
+    }
+
+    /** Visit index of @p packed, or kEmpty. */
+    uint32_t
+    find(uint32_t packed) const
+    {
+        const auto mask = static_cast<uint32_t>(slots.size() - 1);
+        for (uint32_t s = home(packed);; s = (s + 1) & mask) {
+            const uint32_t index = slots[s];
+            if (index == kEmpty || visits[index].packed == packed)
+                return index;
+        }
+    }
+
+    /** Visit index of @p packed, adding an unreached Visit if new. */
+    uint32_t
+    findOrAdd(uint32_t packed)
+    {
+        if ((visits.size() + 1) * 2 > slots.size())
+            rehash(slots.size() * 2);
+        const auto mask = static_cast<uint32_t>(slots.size() - 1);
+        uint32_t s = home(packed);
+        for (; slots[s] != kEmpty; s = (s + 1) & mask) {
+            if (visits[slots[s]].packed == packed)
+                return slots[s];
+        }
+        slots[s] = static_cast<uint32_t>(visits.size());
+        visits.push_back({SIZE_MAX, packed, s});
+        return slots[s];
+    }
+
+    /** Re-seat every visit in a table of @p capacity (a power of 2). */
+    void
+    rehash(size_t capacity)
+    {
+        slots.assign(capacity, kEmpty);
+        shift = 32 - static_cast<uint32_t>(std::countr_zero(capacity));
+        const auto mask = static_cast<uint32_t>(capacity - 1);
+        for (uint32_t i = 0; i < visits.size(); ++i) {
+            uint32_t s = home(visits[i].packed);
+            while (slots[s] != kEmpty)
+                s = (s + 1) & mask;
+            slots[s] = i;
+            visits[i].slot = s;
+        }
+    }
+};
+
+} // namespace
+
+void
+PanGraph::extractSubgraph(Handle start, size_t radius, LocalGraph &out,
                           uint32_t *origin) const
 {
     // Dijkstra outward from `start` in both directions, distance in
     // bases. A handle and its flip are distinct local nodes (reverse
     // strand unrolling).
-    struct Entry
-    {
-        size_t dist;
-        uint32_t packed;
-        bool operator>(const Entry &other) const
-        {
-            return dist > other.dist;
+    ExtractScratch &ws = core::threadScratch<ExtractScratch>();
+    ws.reset();
+    auto later = [](const ExtractScratch::QueueEntry &a,
+                    const ExtractScratch::QueueEntry &b) {
+        return a.dist > b.dist;
+    };
+    auto reach = [&](uint32_t packed, size_t dist) {
+        const uint32_t index = ws.findOrAdd(packed);
+        if (dist < ws.visits[index].dist) {
+            ws.visits[index].dist = dist;
+            ws.heap.push_back({dist, index});
+            std::push_heap(ws.heap.begin(), ws.heap.end(), later);
         }
     };
-    std::unordered_map<uint32_t, size_t> dist;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue;
-    dist[start.packed()] = 0;
-    queue.push({0, start.packed()});
-    std::vector<uint32_t> discovered; // in order of settling
-
-    while (!queue.empty()) {
-        const Entry entry = queue.top();
-        queue.pop();
-        auto it = dist.find(entry.packed);
-        if (it == dist.end() || it->second < entry.dist)
-            continue;
-        discovered.push_back(entry.packed);
-        const Handle handle = Handle::fromPacked(entry.packed);
-        const size_t step = nodeLength(handle.node());
-
-        auto relax = [&](Handle next, size_t next_dist) {
-            if (next_dist > radius)
-                return;
-            auto found = dist.find(next.packed());
-            if (found == dist.end() || next_dist < found->second) {
-                dist[next.packed()] = next_dist;
-                queue.push({next_dist, next.packed()});
-            }
-        };
-        for (Handle next : successors(handle))
-            relax(next, entry.dist + step);
-        for (Handle prev : predecessors(handle))
-            relax(prev, entry.dist + nodeLength(prev.node()));
+    reach(start.packed(), 0);
+    while (!ws.heap.empty()) {
+        std::pop_heap(ws.heap.begin(), ws.heap.end(), later);
+        const ExtractScratch::QueueEntry entry = ws.heap.back();
+        ws.heap.pop_back();
+        if (entry.dist > ws.visits[entry.visit].dist)
+            continue; // superseded by a shorter path
+        const uint32_t packed = ws.visits[entry.visit].packed;
+        const size_t step = nodeLength(packed >> 1);
+        for (Handle next : adjacency_[packed]) {
+            if (entry.dist + step <= radius)
+                reach(next.packed(), entry.dist + step);
+        }
+        // Predecessors of h are the flips of the successors of
+        // h.flipped().
+        for (Handle flipped_prev : adjacency_[packed ^ 1u]) {
+            const size_t dist =
+                entry.dist + nodeLength(flipped_prev.node());
+            if (dist <= radius)
+                reach(flipped_prev.packed() ^ 1u, dist);
+        }
     }
 
-    // Deterministic local ids: sort settled handles by (distance, id).
-    std::sort(discovered.begin(), discovered.end(),
-              [&](uint32_t a, uint32_t b) {
-                  const size_t da = dist[a], db = dist[b];
-                  return da < db || (da == db && a < b);
+    // Deterministic local ids: a handle's local id is its rank in
+    // (distance, packed handle) order.
+    std::sort(ws.visits.begin(), ws.visits.end(),
+              [](const ExtractScratch::Visit &a,
+                 const ExtractScratch::Visit &b) {
+                  return a.dist < b.dist ||
+                         (a.dist == b.dist && a.packed < b.packed);
               });
-    std::unordered_map<uint32_t, uint32_t> local;
-    LocalGraph out;
-    for (uint32_t packed : discovered) {
-        const Handle handle = Handle::fromPacked(packed);
-        local[packed] = out.addNode(sequenceOf(handle).codes());
+    out.clear();
+    for (uint32_t id = 0; id < ws.visits.size(); ++id) {
+        const ExtractScratch::Visit &visit = ws.visits[id];
+        ws.slots[visit.slot] = id;
+        const Handle handle = Handle::fromPacked(visit.packed);
+        const std::vector<uint8_t> &forward =
+            sequences_[handle.node()].codes();
+        if (!handle.isReverse()) {
+            out.addNode(forward);
+            continue;
+        }
+        seq::reverseComplementInto(forward, out.appendNode(forward.size()));
     }
 
     // Keep only edges that do not create cycles: an edge u->v survives
-    // when it respects the (distance, id) order, or when v is farther
-    // out. This DAG-ification mirrors vg's acyclic extraction for GSSW.
-    for (uint32_t packed : discovered) {
-        const Handle handle = Handle::fromPacked(packed);
-        for (Handle next : successors(handle)) {
-            auto it = local.find(next.packed());
-            if (it == local.end())
-                continue;
-            const uint32_t from = local[packed];
-            const uint32_t to = it->second;
-            if (from < to)
+    // when it respects the (distance, id) order. This DAG-ification
+    // mirrors vg's acyclic extraction for GSSW.
+    for (uint32_t from = 0; from < ws.visits.size(); ++from) {
+        for (Handle next : adjacency_[ws.visits[from].packed]) {
+            const uint32_t to = ws.find(next.packed());
+            if (to != ExtractScratch::kEmpty && from < to)
                 out.addEdge(from, to);
         }
     }
     out.finalize();
     if (origin != nullptr)
-        *origin = local[start.packed()];
-    return out;
+        *origin = ws.find(start.packed());
 }
 
 PanGraph

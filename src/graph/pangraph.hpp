@@ -117,16 +117,20 @@ class PanGraph
     GraphStats stats() const;
 
     /**
-     * Extract the local neighborhood around (@p start, @p offset):
-     * every position reachable within @p radius bases forward and
-     * backward. Back edges that would create cycles with respect to the
-     * BFS discovery order are dropped so the result is a DAG, mirroring
-     * vg's acyclic subgraph extraction for GSSW.
+     * Extract the local neighborhood around @p start into @p out:
+     * every oriented handle reachable within @p radius bases forward
+     * and backward. Back edges that would create cycles with respect
+     * to the (distance, handle) discovery order are dropped so the
+     * result is a DAG, mirroring vg's acyclic subgraph extraction for
+     * GSSW. @p out is cleared first and its allocations reused; the
+     * search state lives in per-thread scratch, so a warm extraction
+     * allocates nothing. @p out owns its bases (reverse handles are
+     * written reverse-complemented).
      *
-     * @param[out] origin index in the returned LocalGraph of @p start.
+     * @param[out] origin index in @p out of @p start.
      */
-    LocalGraph extractSubgraph(Handle start, size_t radius,
-                               uint32_t *origin = nullptr) const;
+    void extractSubgraph(Handle start, size_t radius, LocalGraph &out,
+                         uint32_t *origin = nullptr) const;
 
     /**
      * Split every node longer than @p max_length into a chain of nodes

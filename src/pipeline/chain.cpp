@@ -70,16 +70,6 @@ collectAnchorsInto(const seq::Sequence &read,
     }
 }
 
-std::vector<Anchor>
-collectAnchors(const seq::Sequence &read,
-               const index::MinimizerIndex &index,
-               const GraphLinearization &linear, size_t max_occurrences)
-{
-    std::vector<Anchor> anchors;
-    collectAnchorsInto(read, index, linear, anchors, max_occurrences);
-    return anchors;
-}
-
 void
 clusterAnchorsInto(std::span<const Anchor> anchors, uint64_t band_width,
                    std::vector<AnchorChain> &clusters)

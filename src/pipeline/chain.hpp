@@ -69,12 +69,6 @@ void collectAnchorsInto(const seq::Sequence &read,
                         std::vector<Anchor> &anchors,
                         size_t max_occurrences = 64);
 
-/** Returning variant of collectAnchorsInto. */
-std::vector<Anchor> collectAnchors(const seq::Sequence &read,
-                                   const index::MinimizerIndex &index,
-                                   const GraphLinearization &linear,
-                                   size_t max_occurrences = 64);
-
 /** A cluster/chain of anchors with a score. */
 struct AnchorChain
 {

@@ -76,11 +76,12 @@ class MonolithSource final : public GraphSource
     bool hasGbwt() const override { return gbwt_ != nullptr; }
     size_t shardCount() const override { return 1; }
 
-    graph::LocalGraph
+    void
     extractSubgraph(graph::Handle start, size_t radius,
+                    graph::LocalGraph &out,
                     uint32_t *origin) const override
     {
-        return graph_->extractSubgraph(start, radius, origin);
+        graph_->extractSubgraph(start, radius, out, origin);
     }
 
     GbwtWalk

@@ -31,6 +31,20 @@ obs::Counter obsAnchors("mapper.anchors");
 obs::Counter obsClusters("mapper.clusters");
 obs::Counter obsAlignments("mapper.alignments");
 
+/**
+ * Per-thread alignment-stage buffers (core::threadScratch): the
+ * extracted subgraph, the GSSW result with its matrix buffer, and the
+ * query strands. Each task overwrites them and keeps their capacity,
+ * so the steady-state align stage stays off malloc.
+ */
+struct AlignScratch
+{
+    graph::LocalGraph subgraph;
+    align::GsswResult gssw;
+    std::vector<uint8_t> reverseQuery; ///< reverse complement of a read
+    std::vector<uint8_t> gapQuery;     ///< GWFA gap-bridging query
+};
+
 } // namespace
 
 const char *
@@ -184,6 +198,7 @@ Seq2GraphMapper::planAlignments(const seq::Sequence &read,
         core::StageTimers::Scope scope(stats.timers, "cluster_chain");
         obs::Span span("cluster_chain");
         core::WallTimer kernel_timer;
+        AlignScratch &scratch = core::threadScratch<AlignScratch>();
         const AnchorChain &best = chains.front();
         const auto &codes = read.codes();
         for (size_t i = 0; i + 1 < best.anchorIds.size(); ++i) {
@@ -200,22 +215,23 @@ Seq2GraphMapper::planAlignments(const seq::Sequence &read,
                 continue;
             // Bridge the anchors through the graph with GWFA.
             uint32_t origin = 0;
-            graph::LocalGraph sub = source().extractSubgraph(
-                graph::Handle(a.node, false),
-                query_gap * 2 + 64, &origin);
-            std::vector<uint8_t> gap_query;
+            source().extractSubgraph(graph::Handle(a.node, false),
+                                     query_gap * 2 + 64,
+                                     scratch.subgraph, &origin);
+            std::vector<uint8_t> &gap_query = scratch.gapQuery;
             if (best.reverse) {
                 // The aligned strand is the reverse complement: the
                 // gap content is rc(read[b.q .. a.q)).
-                seq::Sequence tmp(std::vector<uint8_t>(
-                    codes.begin() + b.queryPos,
-                    codes.begin() + a.queryPos));
-                gap_query = tmp.reverseComplement().codes();
+                gap_query.resize(a.queryPos - b.queryPos);
+                seq::reverseComplementInto(
+                    std::span<const uint8_t>(codes).subspan(
+                        b.queryPos, gap_query.size()),
+                    gap_query);
             } else {
                 gap_query.assign(codes.begin() + a.queryPos,
                                  codes.begin() + b.queryPos);
             }
-            align::gwfaAlign(sub, gap_query, origin,
+            align::gwfaAlign(scratch.subgraph, gap_query, origin,
                              static_cast<int32_t>(query_gap),
                              a.nodeOffset);
         }
@@ -357,7 +373,10 @@ Seq2GraphMapper::mapOne(const seq::Sequence &read,
     if (tasks.empty())
         return mapping;
 
-    const seq::Sequence rc = read.reverseComplement();
+    AlignScratch &scratch = core::threadScratch<AlignScratch>();
+    scratch.reverseQuery.resize(read.size());
+    seq::reverseComplementInto(read.codes(), scratch.reverseQuery);
+    graph::LocalGraph &sub = scratch.subgraph;
 
     core::StageTimers::Scope scope(stats.timers, "align");
     obs::Span span("align");
@@ -365,10 +384,13 @@ Seq2GraphMapper::mapOne(const seq::Sequence &read,
     for (const AlignTask &task : tasks) {
         ++stats.alignments;
         obsAlignments.add();
-        const auto &query = task.reverse ? rc.codes() : read.codes();
+        const std::span<const uint8_t> query =
+            task.reverse ? std::span<const uint8_t>(scratch.reverseQuery)
+                         : std::span<const uint8_t>(read.codes());
         uint32_t origin = 0;
-        graph::LocalGraph sub = source().extractSubgraph(
-            task.seedHandle, taskRadius(task, read.size()), &origin);
+        source().extractSubgraph(task.seedHandle,
+                                 taskRadius(task, read.size()), sub,
+                                 &origin);
         int32_t score = 0;
         uint32_t node = task.seedHandle.node();
         switch (config_.profile) {
@@ -379,10 +401,10 @@ Seq2GraphMapper::mapOne(const seq::Sequence &read,
             // matrices; vg map keeps them.
             options.keepMatrices =
                 config_.profile == ToolProfile::kVgMap;
-            const auto result = align::gsswAlign(
-                sub, query, align::ScoreParams::mappingDefaults(),
-                options);
-            score = result.best.score;
+            align::gsswAlignInto(sub, query,
+                                 align::ScoreParams::mappingDefaults(),
+                                 options, scratch.gssw);
+            score = scratch.gssw.best.score;
             node = task.seedHandle.node();
             break;
           }
@@ -503,8 +525,9 @@ Seq2GraphMapper::captureAlignTraces(std::span<const seq::Sequence> reads,
             if (traces.size() >= max_traces)
                 break;
             GsswTrace trace;
-            trace.subgraph = source().extractSubgraph(
-                task.seedHandle, taskRadius(task, read.size()));
+            source().extractSubgraph(task.seedHandle,
+                                     taskRadius(task, read.size()),
+                                     trace.subgraph);
             trace.query = task.reverse ? rc.codes() : read.codes();
             traces.push_back(std::move(trace));
         }
@@ -521,8 +544,8 @@ Seq2GraphMapper::captureGwfaTraces(std::span<const seq::Sequence> reads,
     for (const seq::Sequence &read : reads) {
         if (traces.size() >= max_traces)
             break;
-        std::vector<Anchor> anchors = collectAnchors(
-            read, context_->minimizers(), context_->linearization());
+        std::vector<Anchor> anchors;
+        source().seeder().collect(read, anchors);
         if (anchors.empty())
             continue;
         ChainParams params;
@@ -542,9 +565,9 @@ Seq2GraphMapper::captureGwfaTraces(std::span<const seq::Sequence> reads,
             if (query_gap < config_.gwfaGapThreshold)
                 continue;
             GwfaTrace trace;
-            trace.subgraph = source().extractSubgraph(
-                graph::Handle(a.node, false), query_gap * 2 + 64,
-                &trace.startNode);
+            source().extractSubgraph(graph::Handle(a.node, false),
+                                     query_gap * 2 + 64, trace.subgraph,
+                                     &trace.startNode);
             trace.query.assign(
                 codes.begin() + a.queryPos,
                 codes.begin() + std::min<size_t>(b.queryPos,

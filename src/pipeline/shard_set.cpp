@@ -507,16 +507,18 @@ ShardSetSource::ShardSetSource(store::ShardManifest manifest,
 
 ShardSetSource::~ShardSetSource() = default;
 
-graph::LocalGraph
+void
 ShardSetSource::extractSubgraph(graph::Handle start, size_t radius,
+                                graph::LocalGraph &out,
                                 uint32_t *origin) const
 {
     const auto route = router_.route(start.node());
     const auto pin = cache_->get(route.shard);
-    // LocalGraph owns its sequences, so the result is safe to use
-    // after the pin (and with it, possibly the mapping) goes away.
-    return pin->artifact->graph().extractSubgraph(
-        graph::Handle(route.local, start.isReverse()), radius, origin);
+    // LocalGraph owns its bases, so `out` is safe to use after the pin
+    // (and with it, possibly the mapping) goes away.
+    pin->artifact->graph().extractSubgraph(
+        graph::Handle(route.local, start.isReverse()), radius, out,
+        origin);
 }
 
 GbwtWalk

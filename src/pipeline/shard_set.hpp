@@ -66,9 +66,9 @@ class ShardSetSource final : public GraphSource
     double avgNodeLength() const override { return avgNodeLength_; }
     bool hasGbwt() const override { return manifest_.hasGbwt; }
     size_t shardCount() const override { return manifest_.shards.size(); }
-    graph::LocalGraph extractSubgraph(graph::Handle start,
-                                      size_t radius,
-                                      uint32_t *origin) const override;
+    void extractSubgraph(graph::Handle start, size_t radius,
+                         graph::LocalGraph &out,
+                         uint32_t *origin) const override;
     GbwtWalk gbwtWalkAt(uint32_t global_node) const override;
 
     // ---- Shard-set surface.

@@ -72,12 +72,14 @@ class GraphSource
 
     /**
      * Extract the local neighborhood around global handle @p start
-     * within @p radius bases (PanGraph::extractSubgraph semantics; the
-     * result owns its sequences, so it outlives any shard eviction).
+     * within @p radius bases into @p out (PanGraph::extractSubgraph
+     * semantics: @p out is cleared first and its allocations reused).
+     * @p out owns its bases, so it outlives any shard eviction; the
+     * shard is pinned only for the duration of the call.
      */
-    virtual graph::LocalGraph
-    extractSubgraph(graph::Handle start, size_t radius,
-                    uint32_t *origin = nullptr) const = 0;
+    virtual void extractSubgraph(graph::Handle start, size_t radius,
+                                 graph::LocalGraph &out,
+                                 uint32_t *origin = nullptr) const = 0;
 
     /** Haplotype walk state at @p global_node (see GbwtWalk). */
     virtual GbwtWalk gbwtWalkAt(uint32_t global_node) const = 0;

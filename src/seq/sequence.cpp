@@ -31,10 +31,17 @@ Sequence
 Sequence::reverseComplement() const
 {
     Sequence out;
-    out.codes_.reserve(codes_.size());
-    for (auto it = codes_.rbegin(); it != codes_.rend(); ++it)
-        out.codes_.push_back(complementBase(*it));
+    out.codes_.resize(codes_.size());
+    reverseComplementInto(codes_, out.codes_);
     return out;
+}
+
+void
+reverseComplementInto(std::span<const uint8_t> codes,
+                      std::span<uint8_t> out)
+{
+    for (size_t i = 0; i < codes.size(); ++i)
+        out[i] = complementBase(codes[codes.size() - 1 - i]);
 }
 
 std::string

@@ -11,6 +11,7 @@
 #define PGB_SEQ_SEQUENCE_HPP
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -71,6 +72,13 @@ class Sequence
     std::string name_;
     std::vector<uint8_t> codes_;
 };
+
+/**
+ * Write the reverse complement of @p codes into @p out, which must
+ * hold exactly codes.size() bases and must not overlap @p codes.
+ */
+void reverseComplementInto(std::span<const uint8_t> codes,
+                           std::span<uint8_t> out);
 
 /** Encode an ASCII string into base codes. */
 std::vector<uint8_t> encodeString(const std::string &bases);

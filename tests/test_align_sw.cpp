@@ -291,15 +291,15 @@ TEST(Gssw, KeepMatricesStoresFullDp)
     options.keepMatrices = true;
     const auto result = gsswAlign(
         g, query, ScoreParams::mappingDefaults(), options);
-    ASSERT_EQ(result.matrices.size(), 2u);
+    ASSERT_EQ(result.matrixOffsets.size(), 3u);
     // Uninstrumented runs keep the kernel's striped columns: one
     // segLen x lanes block per reference base, padding included.
     ASSERT_EQ(result.matrixLayout, GsswMatrixLayout::kStriped);
     const size_t col = static_cast<size_t>(result.matrixSegLen) *
                        static_cast<size_t>(result.matrixLanes);
     EXPECT_GE(col, query.size());
-    EXPECT_EQ(result.matrices[0].size(), col * 8);
-    EXPECT_EQ(result.matrices[1].size(), col * 4);
+    EXPECT_EQ(result.nodeMatrix(0).size(), col * 8);
+    EXPECT_EQ(result.nodeMatrix(1).size(), col * 4);
     EXPECT_EQ(result.cellsComputed, query.size() * 12);
 
     GsswOptions no_matrices;
@@ -307,7 +307,8 @@ TEST(Gssw, KeepMatricesStoresFullDp)
     const auto lean = gsswAlign(
         g, query, ScoreParams::mappingDefaults(), no_matrices);
     EXPECT_EQ(lean.best.score, result.best.score);
-    EXPECT_TRUE(lean.matrices.empty());
+    EXPECT_FALSE(lean.hasMatrices());
+    EXPECT_TRUE(lean.matrix.empty());
 }
 
 TEST(Gssw, MatrixLastColumnConsistentWithScore)
@@ -320,7 +321,7 @@ TEST(Gssw, MatrixLastColumnConsistentWithScore)
     const auto result = gsswAlign(g, query,
                                   ScoreParams::mappingDefaults());
     int16_t best = 0;
-    for (int16_t h : result.matrices[0])
+    for (int16_t h : result.nodeMatrix(0))
         best = std::max(best, h);
     EXPECT_EQ(best, result.best.score);
 }

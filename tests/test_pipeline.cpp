@@ -66,8 +66,9 @@ TEST(Chain, AnchorsLandOnTrueRegion)
     const GraphLinearization linear(w.pangenome.graph);
     const index::MinimizerIndex index(w.pangenome.graph, 15, 10);
     size_t with_anchors = 0;
+    std::vector<Anchor> anchors;
     for (const auto &read : w.reads) {
-        const auto anchors = collectAnchors(read, index, linear);
+        collectAnchorsInto(read, index, linear, anchors);
         with_anchors += anchors.empty() ? 0 : 1;
     }
     EXPECT_GE(with_anchors, w.reads.size() - 1);

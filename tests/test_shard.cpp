@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -331,6 +332,41 @@ TEST(Shard, MemShardedMatchesMonolithAcrossComponents)
                             smallUnion().reads));
 }
 
+TEST(Shard, GwfaTracesFromAShardSetMatchTheMonolith)
+{
+    // Trace capture seeds through the context's source, so on a shard
+    // set it sees exactly the monolith's anchors, subgraphs and
+    // queries (no monolith-only index is involved).
+    static const UnionFixture fixture(4, 8000, 8);
+    const auto manifest = shardInto(fixture.graph, "shard_gwfa_traces");
+    ASSERT_EQ(manifest.shards.size(), 4u);
+    const auto sharded = shardContext(
+        manifest.path, pipeline::SeederKind::kMinimizer, 0);
+    const auto monolith = pipeline::MappingContext::Builder()
+                              .fromGraph(fixture.graph)
+                              .build();
+    const auto config =
+        pipeline::MapperConfig::forTool(pipeline::ToolProfile::kMinigraph);
+    const auto want = pipeline::Seq2GraphMapper(monolith, config)
+                          .captureGwfaTraces(fixture.reads, 64);
+    const auto got = pipeline::Seq2GraphMapper(sharded, config)
+                         .captureGwfaTraces(fixture.reads, 64);
+    ASSERT_GT(want.size(), 0u);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t t = 0; t < want.size(); ++t) {
+        const graph::LocalGraph &a = got[t].subgraph;
+        const graph::LocalGraph &b = want[t].subgraph;
+        EXPECT_EQ(got[t].query, want[t].query) << "trace " << t;
+        EXPECT_EQ(got[t].startNode, want[t].startNode) << "trace " << t;
+        ASSERT_EQ(a.nodeCount(), b.nodeCount()) << "trace " << t;
+        for (uint32_t v = 0; v < a.nodeCount(); ++v) {
+            EXPECT_TRUE(std::ranges::equal(a.nodeSeq(v), b.nodeSeq(v)));
+            EXPECT_TRUE(
+                std::ranges::equal(a.successors(v), b.successors(v)));
+        }
+    }
+}
+
 /**
  * The golden fixture from test_golden.cpp, reproduced bit-exactly
  * (same configs, seeds, and read names), so the sharded digests can be
@@ -485,9 +521,9 @@ TEST(Shard, LruEvictsLeastRecentlyUsedFirst)
         manifest.path, pipeline::SeederKind::kMinimizer, budget_mb);
     const auto &source = context->source();
     const auto touch = [&](uint32_t shard) {
+        graph::LocalGraph sub;
         source.extractSubgraph(
-            graph::Handle(nodeInShard(manifest, shard), false), 32,
-            nullptr);
+            graph::Handle(nodeInShard(manifest, shard), false), 32, sub);
     };
     const auto before = obs::snapshot();
     touch(0);
@@ -524,9 +560,10 @@ TEST(Shard, EvictionNeverUnmapsAPinnedShard)
         const pipeline::GbwtWalk walk = source.gbwtWalkAt(pinned_node);
         ASSERT_NE(walk.gbwt, nullptr);
         for (const uint32_t other : {1u, 2u}) {
+            graph::LocalGraph sub;
             source.extractSubgraph(
                 graph::Handle(nodeInShard(manifest, other), false), 32,
-                nullptr);
+                sub);
         }
         // Shards 1 and 2 overflowed the budget, but shard 0 is pinned:
         // it must still be resident, and the pinned GBWT must still be
@@ -539,8 +576,9 @@ TEST(Shard, EvictionNeverUnmapsAPinnedShard)
     }
     // Pin released: the next cache touch may now evict shard 0.
     const auto before = obs::snapshot();
+    graph::LocalGraph sub;
     source.extractSubgraph(
-        graph::Handle(nodeInShard(manifest, 1), false), 32, nullptr);
+        graph::Handle(nodeInShard(manifest, 1), false), 32, sub);
     const auto after = obs::snapshot();
     EXPECT_GE(after.counter("shard.evictions") -
                   before.counter("shard.evictions"),
