@@ -21,12 +21,11 @@
  *                              .shardCacheMb(64).build();
  *
  * fromGraph builds indexes in memory; fromArtifact memory-maps one
- * `.pgbi`; fromManifest opens a `.pgbs` shard set (shard_set.hpp)
- * whose shards are mmapped lazily and evicted under the cache budget.
- * The monolith-only accessors (graph(), minimizers(), gbwt(),
- * fmIndex(), linearization(), artifact()) remain for code that
- * genuinely needs the whole structure in one piece — they fatal() on a
- * shard-set context, where no monolithic structure exists.
+ * `.pgbi`; fromManifest opens a `.pgbs` shard set whose shards are
+ * mmapped lazily and evicted under the cache budget. All three end in
+ * the same GraphSource: a monolith is a shard set of one shard, so a
+ * context exposes the same surface whatever backs it, and nothing in
+ * it fatal()s on one kind of store.
  */
 
 #ifndef PGB_PIPELINE_CONTEXT_HPP
@@ -37,20 +36,16 @@
 #include <string>
 
 #include "graph/pangraph.hpp"
-#include "index/gbwt.hpp"
-#include "index/minimizer.hpp"
+#include "index/fm_index.hpp"
 #include "pipeline/chain.hpp"
 #include "pipeline/seeder.hpp"
 #include "pipeline/source.hpp"
-#include "store/store.hpp"
 
 namespace pgb::pipeline {
 
 struct MapperConfig;
 struct MappingStats;
 struct ReadMapping;
-
-class MonolithSource;
 
 /**
  * Everything a mapping run shares and never mutates, behind a
@@ -63,8 +58,6 @@ class MappingContext
   public:
     class Builder;
 
-    // ---- Source-forwarded surface: valid for every backing store.
-
     /** The underlying source (monolith or shard set). */
     const GraphSource &source() const { return *source_; }
 
@@ -76,30 +69,8 @@ class MappingContext
     /** Whether haplotype walks (giraffe's filter) are available. */
     bool hasGbwt() const { return source_->hasGbwt(); }
 
-    /** Whether this context reads a `.pgbs` shard set. */
-    bool isSharded() const { return mono_ == nullptr; }
-
-    int k() const { return k_; }
-    int w() const { return w_; }
-
-    // ---- Monolith-only surface: fatal() on a shard-set context.
-
-    const graph::PanGraph &graph() const;
-    const index::MinimizerIndex &minimizers() const;
-
-    /** GBWT, or nullptr when the context was built/stored without one. */
-    const index::GbwtIndex *gbwt() const;
-
-    /** FM-index, or nullptr when seeding is minimizer-based. */
-    const index::FmIndex *fmIndex() const;
-
-    const GraphLinearization &linearization() const;
-
-    /** Whether this context came from a `.pgbi` artifact. */
-    bool fromArtifact() const;
-
-    /** The backing artifact, or nullptr for in-memory contexts. */
-    const store::Artifact *artifact() const;
+    int k() const { return source_->k(); }
+    int w() const { return source_->w(); }
 
     MappingContext(const MappingContext &) = delete;
     MappingContext &operator=(const MappingContext &) = delete;
@@ -108,9 +79,6 @@ class MappingContext
     MappingContext() = default;
 
     std::unique_ptr<const GraphSource> source_;
-    /** Downcast of source_ when monolithic; null for shard sets. */
-    const MonolithSource *mono_ = nullptr;
-    int k_ = 0, w_ = 0;
 };
 
 /**

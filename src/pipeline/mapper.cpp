@@ -132,7 +132,7 @@ Seq2GraphMapper::checkContext() const
 }
 
 std::vector<Seq2GraphMapper::AlignTask>
-Seq2GraphMapper::planAlignments(const seq::Sequence &read,
+Seq2GraphMapper::planAlignments(PinSet &pins, const seq::Sequence &read,
                                 MappingStats &stats) const
 {
     // Per-read planning buffers, one set per thread for the process
@@ -152,7 +152,7 @@ Seq2GraphMapper::planAlignments(const seq::Sequence &read,
     {
         core::StageTimers::Scope scope(stats.timers, "seed");
         obs::Span span("seed");
-        context_->seeder().collect(read, anchors);
+        context_->seeder().collect(pins, read, anchors);
         stats.anchors += anchors.size();
         obsAnchors.add(anchors.size());
     }
@@ -215,7 +215,7 @@ Seq2GraphMapper::planAlignments(const seq::Sequence &read,
                 continue;
             // Bridge the anchors through the graph with GWFA.
             uint32_t origin = 0;
-            source().extractSubgraph(graph::Handle(a.node, false),
+            source().extractSubgraph(pins, graph::Handle(a.node, false),
                                      query_gap * 2 + 64,
                                      scratch.subgraph, &origin);
             std::vector<uint8_t> &gap_query = scratch.gapQuery;
@@ -271,13 +271,13 @@ Seq2GraphMapper::planAlignments(const seq::Sequence &read,
                 for (uint32_t anchor_id : chain.anchorIds) {
                     if (++tried > 64)
                         break;
-                    // The walk pins the anchor's shard (if any) and
-                    // hands back that shard's own GBWT with the
-                    // anchor's id in its space; a haplotype walk
-                    // never leaves a connected component, so the
-                    // shard-local walk equals the monolithic one.
+                    // The walk hands back the GBWT of the anchor's
+                    // shard (pinned by this read) with the anchor's id
+                    // in its space; a haplotype walk never leaves a
+                    // connected component, so the shard-local walk
+                    // equals the monolithic one.
                     const GbwtWalk walk = source().gbwtWalkAt(
-                        anchors[anchor_id].node);
+                        pins, anchors[anchor_id].node);
                     if (walk.gbwt == nullptr)
                         continue; // no haplotypes recorded here
                     index::GbwtRange range =
@@ -369,7 +369,8 @@ Seq2GraphMapper::mapOne(const seq::Sequence &read,
                         MappingStats &stats) const
 {
     ReadMapping mapping;
-    const auto tasks = planAlignments(read, stats);
+    PinSet pins(source());
+    const auto tasks = planAlignments(pins, read, stats);
     if (tasks.empty())
         return mapping;
 
@@ -388,7 +389,7 @@ Seq2GraphMapper::mapOne(const seq::Sequence &read,
             task.reverse ? std::span<const uint8_t>(scratch.reverseQuery)
                          : std::span<const uint8_t>(read.codes());
         uint32_t origin = 0;
-        source().extractSubgraph(task.seedHandle,
+        source().extractSubgraph(pins, task.seedHandle,
                                  taskRadius(task, read.size()), sub,
                                  &origin);
         int32_t score = 0;
@@ -519,13 +520,14 @@ Seq2GraphMapper::captureAlignTraces(std::span<const seq::Sequence> reads,
     for (const seq::Sequence &read : reads) {
         if (traces.size() >= max_traces)
             break;
-        const auto tasks = planAlignments(read, stats);
+        PinSet pins(source());
+        const auto tasks = planAlignments(pins, read, stats);
         const seq::Sequence rc = read.reverseComplement();
         for (const AlignTask &task : tasks) {
             if (traces.size() >= max_traces)
                 break;
             GsswTrace trace;
-            source().extractSubgraph(task.seedHandle,
+            source().extractSubgraph(pins, task.seedHandle,
                                      taskRadius(task, read.size()),
                                      trace.subgraph);
             trace.query = task.reverse ? rc.codes() : read.codes();
@@ -544,8 +546,9 @@ Seq2GraphMapper::captureGwfaTraces(std::span<const seq::Sequence> reads,
     for (const seq::Sequence &read : reads) {
         if (traces.size() >= max_traces)
             break;
+        PinSet pins(source());
         std::vector<Anchor> anchors;
-        source().seeder().collect(read, anchors);
+        source().seeder().collect(pins, read, anchors);
         if (anchors.empty())
             continue;
         ChainParams params;
@@ -565,7 +568,7 @@ Seq2GraphMapper::captureGwfaTraces(std::span<const seq::Sequence> reads,
             if (query_gap < config_.gwfaGapThreshold)
                 continue;
             GwfaTrace trace;
-            source().extractSubgraph(graph::Handle(a.node, false),
+            source().extractSubgraph(pins, graph::Handle(a.node, false),
                                      query_gap * 2 + 64, trace.subgraph,
                                      &trace.startNode);
             trace.query.assign(

@@ -131,7 +131,8 @@ struct GwfaTrace
  * Seq2Graph mapping pipeline over a pangenome graph.
  *
  * The mapper itself is a thin per-run object: all shared immutable
- * state (graph, indexes, linearization) lives in a MappingContext.
+ * state (graph, indexes, linearization) lives in a MappingContext's
+ * GraphSource.
  * The graph+config constructor keeps the historical build-per-mapper
  * behavior; the context constructors map against prebuilt (or
  * artifact-loaded) state without paying index construction.
@@ -169,7 +170,8 @@ class Seq2GraphMapper
     MappingStats mapReads(std::span<const seq::Sequence> reads,
                           std::vector<ReadMapping> *mappings) const;
 
-    /** Map one read; stage times charged to @p stats. */
+    /** Map one read; stage times charged to @p stats. The read pins
+     *  each shard it touches once, for its whole duration. */
     ReadMapping mapOne(const seq::Sequence &read,
                        MappingStats &stats) const;
 
@@ -187,12 +189,6 @@ class Seq2GraphMapper
     captureGwfaTraces(std::span<const seq::Sequence> reads,
                       size_t max_traces) const;
 
-    /** Monolith-only convenience accessors (fatal on a shard set). */
-    const index::MinimizerIndex &minimizerIndex() const
-    {
-        return context_->minimizers();
-    }
-    const index::GbwtIndex *gbwt() const { return context_->gbwt(); }
     const MapperConfig &config() const { return config_; }
     const MappingContext &context() const { return *context_; }
 
@@ -208,8 +204,10 @@ class Seq2GraphMapper
         uint64_t linearLo = 0, linearHi = 0;
     };
 
-    /** Seed + cluster/chain + filter; emits alignment tasks. */
-    std::vector<AlignTask> planAlignments(const seq::Sequence &read,
+    /** Seed + cluster/chain + filter; emits alignment tasks. Every
+     *  shard the read touches is pinned in @p pins. */
+    std::vector<AlignTask> planAlignments(PinSet &pins,
+                                          const seq::Sequence &read,
                                           MappingStats &stats) const;
 
     /** Extraction radius for an alignment task (see contextSteps). */
@@ -218,8 +216,8 @@ class Seq2GraphMapper
     /** Validate profile/parameter compatibility with the context. */
     void checkContext() const;
 
-    /** The read-side source every stage goes through: monolith or
-     *  shard set, same call shapes (node ids are global). */
+    /** The read-side source every stage goes through (node ids are
+     *  global; a monolith is a shard set of one). */
     const GraphSource &source() const { return context_->source(); }
 
     std::shared_ptr<const MappingContext> owned_; ///< may be null

@@ -13,6 +13,7 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "pipeline/chain.hpp"
+#include "pipeline/source.hpp"
 #include "store/store.hpp"
 
 namespace pgb::pipeline {
@@ -24,7 +25,6 @@ using core::fatal;
 obs::Counter obsShardLoads("shard.loads");
 obs::Counter obsShardEvictions("shard.evictions");
 obs::Counter obsShardHits("shard.hits");
-obs::Counter obsShardCrossReads("shard.cross_shard_reads");
 obs::Gauge obsShardResident("shard.resident");
 obs::Gauge obsShardResidentBytes("shard.resident_bytes");
 
@@ -36,27 +36,119 @@ hex16(uint64_t value)
     return buffer;
 }
 
+/** Step start offsets of every path of @p graph (LoadedShard). */
+std::vector<std::vector<uint64_t>>
+pathStepStarts(const graph::PanGraph &graph)
+{
+    std::vector<std::vector<uint64_t>> step_starts(graph.pathCount());
+    for (graph::PathId p = 0; p < graph.pathCount(); ++p) {
+        const auto &steps = graph.pathSteps(p);
+        auto &starts = step_starts[p];
+        starts.reserve(steps.size() + 1);
+        uint64_t at = 0;
+        for (graph::Handle step : steps) {
+            starts.push_back(at);
+            at += graph.nodeLength(step.node());
+        }
+        starts.push_back(at);
+    }
+    return step_starts;
+}
+
 } // namespace
 
-/** One mmapped shard plus the projection tables seeding needs. */
-struct LoadedShard
+// ---------------------------------------------------------------------
+// LoadedShard
+// ---------------------------------------------------------------------
+
+std::shared_ptr<const LoadedShard>
+LoadedShard::fromArtifact(std::unique_ptr<const store::Artifact> artifact,
+                          bool identity)
 {
-    std::unique_ptr<const store::Artifact> artifact;
-    /// detail::pathStepStarts of the shard graph: text → node
-    /// projection for the MEM seeder.
-    std::vector<std::vector<uint64_t>> stepStarts;
-};
+    auto shard = std::make_shared<LoadedShard>();
+    shard->graph = &artifact->graph();
+    shard->minimizers = &artifact->minimizers();
+    shard->gbwt = artifact->gbwt();
+    shard->fm = artifact->fmIndex();
+    if (identity) {
+        shard->linear_ =
+            std::make_unique<GraphLinearization>(*shard->graph);
+        shard->linearBases = shard->linear_->nodeStarts();
+    } else {
+        shard->origNodes = artifact->origNodes();
+        shard->linearBases = artifact->linearBases();
+    }
+    shard->bytes = artifact->sizeBytes();
+    shard->artifact_ = std::move(artifact);
+    shard->finish();
+    return shard;
+}
+
+std::shared_ptr<const LoadedShard>
+LoadedShard::build(const graph::PanGraph &graph, int k, int w,
+                   unsigned threads, bool build_gbwt, bool build_fm,
+                   uint32_t fm_sample_rate)
+{
+    auto shard = std::make_shared<LoadedShard>();
+    shard->graph = &graph;
+    shard->builtMinimizers_ =
+        std::make_unique<index::MinimizerIndex>(graph, k, w, threads);
+    shard->minimizers = shard->builtMinimizers_.get();
+    if (build_gbwt) {
+        shard->builtGbwt_ =
+            std::make_unique<index::GbwtIndex>(graph, true, threads);
+        shard->gbwt = shard->builtGbwt_.get();
+    }
+    if (build_fm) {
+        shard->builtFm_ =
+            std::make_unique<index::FmIndex>(graph, fm_sample_rate);
+        shard->fm = shard->builtFm_.get();
+    }
+    shard->linear_ = std::make_unique<GraphLinearization>(graph);
+    shard->linearBases = shard->linear_->nodeStarts();
+    // The sizes of the flat tables; the graph and the GBWT's nested
+    // records are not counted.
+    const index::MinimizerIndex &minimizers = *shard->minimizers;
+    shard->bytes =
+        minimizers.distinctMinimizers() *
+            sizeof(index::MinimizerIndex::TableEntry) +
+        minimizers.allHits().size_bytes() +
+        shard->linearBases.size_bytes();
+    if (shard->fm != nullptr) {
+        const index::FmIndex &fm = *shard->fm;
+        shard->bytes += fm.bwtData().size_bytes() +
+                        fm.occData().size_bytes() +
+                        fm.sampleData().size_bytes() +
+                        fm.markData().size_bytes() +
+                        fm.pathOffsetsData().size_bytes();
+    }
+    shard->finish();
+    return shard;
+}
+
+void
+LoadedShard::finish()
+{
+    if (fm == nullptr)
+        return;
+    if (fm->pathCount() != graph->pathCount())
+        fatal("FM-index covers ", fm->pathCount(), " paths, graph has ",
+              graph->pathCount());
+    stepStarts = pathStepStarts(*graph);
+}
 
 // ---------------------------------------------------------------------
 // ShardCache
 // ---------------------------------------------------------------------
 
 /**
- * The resident set of a shard set: shared_ptr pins per shard, a soft
+ * The resident set of a GraphSource: shared_ptr pins per shard, a soft
  * LRU byte budget, and the shard.* metrics. get() is the only entry
- * point; every call re-evaluates the budget, so a cache over budget
- * sheds unpinned shards as soon as their pins drop — never while any
- * in-flight batch still holds one.
+ * point once open; every call re-evaluates the budget, so a cache over
+ * budget sheds unpinned shards as soon as their pins drop — never
+ * while any open PinSet still holds one. Residency is charged in each
+ * shard's own LoadedShard::bytes, on load, eviction and destruction
+ * alike.
  */
 class ShardCache
 {
@@ -72,12 +164,18 @@ class ShardCache
      *  budget. The returned pin keeps the mapping alive. */
     std::shared_ptr<const LoadedShard> get(uint32_t shard) const;
 
+    /** Make @p loaded resident as shard @p shard (a monolith's one
+     *  shard, which no manifest file backs; the budget must be 0). */
+    void adopt(uint32_t shard, std::shared_ptr<const LoadedShard> loaded);
+
     /** Provider callback body: per-shard residency gauges. */
     void appendResidency(
         std::vector<std::pair<std::string, int64_t>> &out) const;
 
   private:
     std::shared_ptr<const LoadedShard> loadLocked(uint32_t shard) const;
+    void residentLocked(uint32_t shard,
+                        std::shared_ptr<const LoadedShard> loaded) const;
     void evictLocked(uint32_t keep) const;
     uint64_t residentBytesLocked() const;
 
@@ -159,8 +257,7 @@ ShardCache::~ShardCache()
     for (const auto &slot : resident_) {
         if (slot != nullptr) {
             obsShardResident.sub();
-            obsShardResidentBytes.sub(static_cast<int64_t>(
-                slot->artifact->sizeBytes()));
+            obsShardResidentBytes.sub(static_cast<int64_t>(slot->bytes));
         }
     }
 }
@@ -169,9 +266,9 @@ uint64_t
 ShardCache::residentBytesLocked() const
 {
     uint64_t bytes = 0;
-    for (size_t s = 0; s < resident_.size(); ++s) {
-        if (resident_[s] != nullptr)
-            bytes += manifest_.shards[s].bytes;
+    for (const auto &slot : resident_) {
+        if (slot != nullptr)
+            bytes += slot->bytes;
     }
     return bytes;
 }
@@ -182,9 +279,9 @@ ShardCache::loadLocked(uint32_t shard) const
     obs::Span span("shard.load");
     const store::ShardEntry &entry = manifest_.shards[shard];
     const std::string path = manifest_.shardPath(shard);
-    auto loaded = std::make_shared<LoadedShard>();
-    loaded->artifact = store::Artifact::load(path);
-    const store::Artifact &artifact = *loaded->artifact;
+    std::unique_ptr<const store::Artifact> owned =
+        store::Artifact::load(path);
+    const store::Artifact &artifact = *owned;
     // Identity checks beyond the artifact's own validation: the file
     // must be the exact shard the manifest describes, and its SNOD
     // projection must agree with the manifest's component routing.
@@ -212,8 +309,26 @@ ShardCache::loadLocked(uint32_t shard) const
                         "component routing at local node ", local);
         }
     }
-    loaded->stepStarts = detail::pathStepStarts(artifact.graph());
-    return loaded;
+    return LoadedShard::fromArtifact(std::move(owned), false);
+}
+
+void
+ShardCache::residentLocked(uint32_t shard,
+                           std::shared_ptr<const LoadedShard> loaded) const
+{
+    obsShardLoads.add();
+    obsShardResident.add();
+    obsShardResidentBytes.add(static_cast<int64_t>(loaded->bytes));
+    resident_[shard] = std::move(loaded);
+}
+
+void
+ShardCache::adopt(uint32_t shard,
+                  std::shared_ptr<const LoadedShard> loaded)
+{
+    std::lock_guard<std::mutex> lock(lock_);
+    residentLocked(shard, std::move(loaded));
+    lastUse_[shard] = ++clock_;
 }
 
 std::shared_ptr<const LoadedShard>
@@ -225,11 +340,7 @@ ShardCache::get(uint32_t shard) const
         obsShardHits.add();
     } else {
         pin = loadLocked(shard);
-        resident_[shard] = pin;
-        obsShardLoads.add();
-        obsShardResident.add();
-        obsShardResidentBytes.add(
-            static_cast<int64_t>(manifest_.shards[shard].bytes));
+        residentLocked(shard, pin);
     }
     lastUse_[shard] = ++clock_;
     evictLocked(shard);
@@ -257,11 +368,11 @@ ShardCache::evictLocked(uint32_t keep) const
         }
         if (victim == UINT32_MAX)
             break; // everything left is pinned: soft overflow
-        resident_[victim].reset();
         obsShardEvictions.add();
         obsShardResident.sub();
         obsShardResidentBytes.sub(
-            static_cast<int64_t>(manifest_.shards[victim].bytes));
+            static_cast<int64_t>(resident_[victim]->bytes));
+        resident_[victim].reset();
     }
 }
 
@@ -277,260 +388,180 @@ ShardCache::appendResidency(
 }
 
 // ---------------------------------------------------------------------
-// Shard-local seeding
+// PinSet
 // ---------------------------------------------------------------------
 
 namespace {
 
-/** Thread-local temporaries shared by both shard seeders. */
-struct ShardSeedScratch
+/** Closed pin-set storage of this thread, reused by the next open. */
+struct PinPool
 {
-    std::vector<std::shared_ptr<const LoadedShard>> pins;
-    std::vector<uint8_t> touched; ///< per seed-shard slot, this read
-    // minimizer merge state
-    std::vector<index::Minimizer> minimizers;
-    std::vector<std::span<const index::GraphSeedHit>> buckets;
-    std::vector<size_t> bucketSlot;
-    std::vector<size_t> heads;
-    // mem seeding set, one member per pinned shard
-    std::vector<detail::MemSource> memSources;
+    std::vector<std::unique_ptr<detail::PinSlots>> free;
 };
-
-/** Charge shard.cross_shard_reads when >1 shard contributed. */
-void
-noteCrossShard(const std::vector<uint8_t> &touched)
-{
-    size_t distinct = 0;
-    for (uint8_t t : touched)
-        distinct += t != 0 ? 1 : 0;
-    if (distinct > 1)
-        obsShardCrossReads.add();
-}
 
 } // namespace
 
-/**
- * Minimizer seeding over a shard set. Pins every path-bearing shard
- * for the duration of one read's collect, looks the read's minimizers
- * up in each shard's table, and k-way merges the per-shard occurrence
- * lists by global node id. Because each shard's bucket is the
- * monolith's bucket restricted to that shard in the monolith's own
- * order (order-preserving renumbering + the full-record sort in
- * MinimizerIndex), the merge reproduces the monolithic occurrence
- * stream exactly; the repetition cap applies to the summed count.
- */
-class ShardMinimizerSeeder final : public Seeder
+PinSet::PinSet(const GraphSource &source) : source_(source)
 {
-  public:
-    explicit ShardMinimizerSeeder(const ShardSetSource &source,
-                                  size_t max_occurrences = 64)
-        : source_(source), maxOccurrences_(max_occurrences)
-    {
+    PinPool &pool = core::threadScratch<PinPool>();
+    if (pool.free.empty()) {
+        slots_ = std::make_unique<detail::PinSlots>();
+    } else {
+        slots_ = std::move(pool.free.back());
+        pool.free.pop_back();
     }
+    if (slots_->byShard.size() < source.shardCount())
+        slots_->byShard.resize(source.shardCount(), nullptr);
+}
 
-    void
-    collect(const seq::Sequence &read,
-            std::vector<Anchor> &anchors) const override
-    {
-        obs::Span span("seed.minimizer");
-        anchors.clear();
-        ShardSeedScratch &ws = core::threadScratch<ShardSeedScratch>();
-        const auto &seed_shards = source_.seedShards_;
-        ws.pins.clear();
-        for (uint32_t shard : seed_shards)
-            ws.pins.push_back(source_.cache_->get(shard));
-        ws.touched.assign(seed_shards.size(), 0);
-
-        core::NullProbe probe;
-        index::computeMinimizersInto(read.codes(), source_.k(),
-                                     source_.w(), ws.minimizers,
-                                     probe);
-        for (const index::Minimizer &mini : ws.minimizers) {
-            ws.buckets.clear();
-            ws.bucketSlot.clear();
-            size_t total = 0;
-            for (size_t slot = 0; slot < ws.pins.size(); ++slot) {
-                const auto hits =
-                    ws.pins[slot]->artifact->minimizers().occurrences(
-                        mini.hash);
-                if (hits.empty())
-                    continue;
-                ws.buckets.push_back(hits);
-                ws.bucketSlot.push_back(slot);
-                total += hits.size();
-            }
-            if (total == 0 || total > maxOccurrences_)
-                continue; // absent, or repetitive across the whole set
-            // Merge the per-shard buckets by global node id. A node
-            // lives in exactly one shard, so heads never tie across
-            // buckets and within-node order stays bucket-internal.
-            ws.heads.assign(ws.buckets.size(), 0);
-            for (size_t emitted = 0; emitted < total; ++emitted) {
-                size_t best = SIZE_MAX;
-                uint32_t best_node = 0;
-                for (size_t b = 0; b < ws.buckets.size(); ++b) {
-                    if (ws.heads[b] >= ws.buckets[b].size())
-                        continue;
-                    const store::Artifact &artifact =
-                        *ws.pins[ws.bucketSlot[b]]->artifact;
-                    const uint32_t node = artifact.origNodes()
-                        [ws.buckets[b][ws.heads[b]].node];
-                    if (best == SIZE_MAX || node < best_node) {
-                        best = b;
-                        best_node = node;
-                    }
-                }
-                const index::GraphSeedHit &hit =
-                    ws.buckets[best][ws.heads[best]++];
-                const store::Artifact &artifact =
-                    *ws.pins[ws.bucketSlot[best]]->artifact;
-                Anchor anchor;
-                anchor.queryPos = mini.position;
-                anchor.node = artifact.origNodes()[hit.node];
-                anchor.nodeOffset = hit.offset;
-                anchor.reverse = mini.reverse != (hit.reverse != 0);
-                anchor.linearPos =
-                    artifact.linearBases()[hit.node] + hit.offset;
-                anchors.push_back(anchor);
-                ws.touched[ws.bucketSlot[best]] = 1;
-            }
-        }
-        detail::addSeedAnchors(anchors.size());
-        noteCrossShard(ws.touched);
-        ws.pins.clear(); // unpin: idle threads must not block eviction
-    }
-
-    SeederKind kind() const override { return SeederKind::kMinimizer; }
-
-  private:
-    const ShardSetSource &source_;
-    size_t maxOccurrences_;
-};
-
-/**
- * MEM seeding over a shard set: detail::collectMemAnchors with one
- * member per shard. The shard FM texts partition the monolith's path
- * text, so index::SmemSet's lockstep enumeration (a pattern occurs iff
- * it occurs in some shard) yields the monolith's SMEM set, and the
- * summed per-shard occurrence counts its repeat filter. Occurrences
- * project shard-locally through SNOD/SLIN; the canonical anchor order
- * erases which shard produced them.
- */
-class ShardMemSeeder final : public Seeder
+PinSet::~PinSet()
 {
-  public:
-    ShardMemSeeder(const ShardSetSource &source, uint32_t k,
-                   size_t max_occurrences = 64)
-        : source_(source), k_(k == 0 ? 1 : k),
-          maxOccurrences_(max_occurrences)
-    {
-    }
+    for (const detail::PinSlots::Pin &pin : slots_->held)
+        slots_->byShard[pin.shard] = nullptr;
+    slots_->held.clear(); // unpin: idle threads must not block eviction
+    core::threadScratch<PinPool>().free.push_back(std::move(slots_));
+}
 
-    void
-    collect(const seq::Sequence &read,
-            std::vector<Anchor> &anchors) const override
-    {
-        anchors.clear();
-        obs::Span span("seed.mem");
-        if (read.size() < k_)
-            return;
-        ShardSeedScratch &ws = core::threadScratch<ShardSeedScratch>();
-        ws.pins.clear();
-        ws.memSources.clear();
-        for (uint32_t shard : source_.seedShards_) {
-            ws.pins.push_back(source_.cache_->get(shard));
-            const LoadedShard &loaded = *ws.pins.back();
-            const store::Artifact &artifact = *loaded.artifact;
-            ws.memSources.push_back(
-                {artifact.fmIndex(), &artifact.graph(),
-                 &loaded.stepStarts, artifact.origNodes(),
-                 artifact.linearBases()});
-        }
-        ws.touched.assign(ws.pins.size(), 0);
-        detail::collectMemAnchors(ws.memSources, read, k_,
-                                  maxOccurrences_, anchors, ws.touched);
-        noteCrossShard(ws.touched);
-        ws.pins.clear();
-    }
-
-    SeederKind kind() const override { return SeederKind::kMem; }
-
-  private:
-    const ShardSetSource &source_;
-    uint32_t k_;
-    size_t maxOccurrences_;
-};
+const LoadedShard &
+PinSet::pin(uint32_t shard)
+{
+    std::shared_ptr<const LoadedShard> loaded =
+        source_.cache_->get(shard);
+    const LoadedShard *view = loaded.get();
+    slots_->held.push_back({shard, std::move(loaded)});
+    slots_->byShard[shard] = view;
+    return *view;
+}
 
 // ---------------------------------------------------------------------
-// ShardSetSource
+// GraphSource
 // ---------------------------------------------------------------------
 
-std::unique_ptr<const ShardSetSource>
-ShardSetSource::open(const std::string &manifest_path,
-                     SeederKind seeder, uint64_t cache_mb)
+std::unique_ptr<const GraphSource>
+GraphSource::build(const graph::PanGraph &graph, int k, int w,
+                   unsigned threads, bool build_gbwt, SeederKind seeder,
+                   uint32_t fm_sample_rate)
+{
+    return monolith(LoadedShard::build(graph, k, w, threads, build_gbwt,
+                                       seeder == SeederKind::kMem,
+                                       fm_sample_rate),
+                    k, w, "<in-memory graph>", seeder);
+}
+
+std::unique_ptr<const GraphSource>
+GraphSource::load(const std::string &artifact_path, SeederKind seeder)
+{
+    std::unique_ptr<const store::Artifact> artifact =
+        store::Artifact::load(artifact_path);
+    if (seeder == SeederKind::kMem && artifact->fmIndex() == nullptr) {
+        fatal(artifact_path,
+              ": artifact has no FM-index sections; rebuild it with "
+              "`pgb index --seeder=mem` to map with --seeder=mem");
+    }
+    const int k = artifact->k();
+    const int w = artifact->w();
+    return monolith(LoadedShard::fromArtifact(std::move(artifact), true),
+                    k, w, artifact_path, seeder);
+}
+
+std::unique_ptr<const GraphSource>
+GraphSource::open(const std::string &manifest_path, SeederKind seeder,
+                  uint64_t cache_mb)
 {
     store::ShardManifest manifest =
         store::ShardManifest::load(manifest_path);
-    return std::unique_ptr<const ShardSetSource>(new ShardSetSource(
-        std::move(manifest), seeder, cache_mb));
+    if (seeder == SeederKind::kMem && manifest.seeder != "mem") {
+        fatal(manifest.path,
+              ": shard set has no FM-index sections; rebuild it with "
+              "`pgb shard --seeder=mem` to map with --seeder=mem");
+    }
+    return std::unique_ptr<const GraphSource>(new GraphSource(
+        std::move(manifest), seeder, cache_mb, nullptr));
 }
 
-ShardSetSource::ShardSetSource(store::ShardManifest manifest,
-                               SeederKind seeder, uint64_t cache_mb)
+/**
+ * A monolith is a set of one shard: a manifest synthesized in memory
+ * with one component spanning every node id routes each node to shard
+ * 0 under its own id, so no routing code knows about monoliths.
+ */
+std::unique_ptr<const GraphSource>
+GraphSource::monolith(std::shared_ptr<const LoadedShard> shard, int k,
+                      int w, std::string path, SeederKind seeder)
+{
+    const graph::GraphStats stats = shard->graph->stats();
+    store::ShardManifest manifest;
+    manifest.nodeCount = stats.nodeCount;
+    manifest.edgeCount = stats.edgeCount;
+    manifest.pathCount = stats.pathCount;
+    manifest.totalBases = stats.totalBases;
+    manifest.k = static_cast<uint32_t>(k);
+    manifest.w = static_cast<uint32_t>(w);
+    manifest.seeder = shard->fm != nullptr ? "mem" : "minimizer";
+    manifest.hasGbwt = shard->gbwt != nullptr;
+    manifest.path = path;
+
+    store::ShardEntry entry;
+    entry.file = std::move(path);
+    entry.bytes = shard->bytes;
+    entry.nodes = stats.nodeCount;
+    entry.paths = stats.pathCount;
+    manifest.shards.push_back(std::move(entry));
+    if (stats.nodeCount > 0) {
+        store::ComponentEntry component;
+        component.nodes = stats.nodeCount;
+        component.ranges.emplace_back(
+            0, static_cast<uint32_t>(stats.nodeCount - 1));
+        manifest.components.push_back(std::move(component));
+    }
+    return std::unique_ptr<const GraphSource>(new GraphSource(
+        std::move(manifest), seeder, 0, std::move(shard)));
+}
+
+GraphSource::GraphSource(store::ShardManifest manifest,
+                         SeederKind seeder, uint64_t cache_mb,
+                         std::shared_ptr<const LoadedShard> adopted)
     : manifest_(std::move(manifest)), router_(manifest_),
       cache_(std::make_unique<ShardCache>(manifest_, router_,
-                                          cache_mb << 20))
+                                          cache_mb << 20)),
+      monolith_(adopted != nullptr)
 {
     avgNodeLength_ = std::max(
         1.0, static_cast<double>(manifest_.totalBases) /
                  static_cast<double>(manifest_.nodeCount));
+    // Pathless shards of a set are never touched by seeding; a
+    // monolith seeds from its one shard whatever it holds (a pathless
+    // graph's minimizer index covers its nodes).
     for (uint32_t s = 0; s < manifest_.shards.size(); ++s) {
-        if (manifest_.shards[s].paths > 0)
+        if (monolith_ || manifest_.shards[s].paths > 0)
             seedShards_.push_back(s);
     }
-    if (seeder == SeederKind::kMem && manifest_.seeder != "mem") {
-        core::fatal(manifest_.path,
-                    ": shard set has no FM-index sections; rebuild it "
-                    "with `pgb shard --seeder=mem` to map with "
-                    "--seeder=mem");
-    }
-    switch (seeder) {
-      case SeederKind::kMinimizer:
-        seeder_ = std::make_unique<ShardMinimizerSeeder>(*this);
-        break;
-      case SeederKind::kMem:
-        seeder_ = std::make_unique<ShardMemSeeder>(
-            *this, manifest_.k);
-        break;
-    }
+    if (monolith_)
+        cache_->adopt(0, std::move(adopted));
+    seeder_ = makeSeeder(seeder, *this);
 }
 
-ShardSetSource::~ShardSetSource() = default;
+GraphSource::~GraphSource() = default;
 
 void
-ShardSetSource::extractSubgraph(graph::Handle start, size_t radius,
-                                graph::LocalGraph &out,
-                                uint32_t *origin) const
+GraphSource::extractSubgraph(PinSet &pins, graph::Handle start,
+                             size_t radius, graph::LocalGraph &out,
+                             uint32_t *origin) const
 {
     const auto route = router_.route(start.node());
-    const auto pin = cache_->get(route.shard);
     // LocalGraph owns its bases, so `out` is safe to use after the pin
     // (and with it, possibly the mapping) goes away.
-    pin->artifact->graph().extractSubgraph(
+    pins.shard(route.shard).graph->extractSubgraph(
         graph::Handle(route.local, start.isReverse()), radius, out,
         origin);
 }
 
 GbwtWalk
-ShardSetSource::gbwtWalkAt(uint32_t global_node) const
+GraphSource::gbwtWalkAt(PinSet &pins, uint32_t global_node) const
 {
     const auto route = router_.route(global_node);
-    auto pin = cache_->get(route.shard);
     GbwtWalk walk;
-    walk.gbwt = pin->artifact->gbwt();
+    walk.gbwt = pins.shard(route.shard).gbwt;
     walk.start = graph::Handle(route.local, false);
-    if (walk.gbwt != nullptr)
-        walk.pin = std::move(pin);
     return walk;
 }
 

@@ -1,29 +1,23 @@
 /**
  * @file
- * ShardSetSource: map beyond-RAM pangenomes against a `.pgbs` shard
- * set of lazily-mmapped `.pgbi` shards (DESIGN.md §13).
+ * LoadedShard: one resident shard of a GraphSource (source.hpp,
+ * DESIGN.md §13) — the unit the shard cache maps, pins and evicts.
  *
- * A shard set is a manifest (store/manifest.hpp) over per-component
- * shard artifacts written by `pgb shard`. This GraphSource
- * implementation routes every global node id to its shard
- * (store::ShardRouter), mmaps a shard on first touch, and keeps the
- * resident set under a soft byte budget with LRU eviction — a shard
- * pinned by an in-flight read is never unmapped (eviction requires the
- * cache to hold the only reference), and at least one shard always
- * stays resident.
+ * A shard is a view over one graph and its indexes (minimizer table,
+ * optional GBWT, optional FM-index), the projection of its local node
+ * ids onto global ones (origNodes, linearBases), and the per-path step
+ * offsets MEM seeding projects through. Behind the view sits its
+ * owner, one of:
  *
- * Seeding runs shard-locally (each shard carries its own minimizer
- * index, GBWT, and — for `--seeder=mem` sets — FM-index over its own
- * paths) and the per-shard results are merged into exactly the anchor
- * stream the monolithic index would produce; clustering, chaining,
- * filtering, and alignment then run unchanged on global coordinates.
- * Sharded mapping is byte-identical to monolithic mapping — the golden
- * digests assert it.
+ *  - an mmapped `.pgbi` artifact: a member of a `.pgbs` shard set
+ *    (projection from its SNOD/SLIN sections), or a monolithic
+ *    artifact opened with fromArtifact (identity projection, even when
+ *    the file carries SNOD/SLIN — a shard file opened on its own maps
+ *    in its own ids);
+ *  - indexes built in memory over a caller-owned graph (fromGraph).
  *
- * Observability: counters shard.{loads,evictions,hits,
- * cross_shard_reads}, gauges shard.{resident,resident_bytes}, a
- * per-shard residency provider (shard.<i>.resident, surfaced by
- * `pgb ctl status`), and a "shard.load" span around each mmap.
+ * Seeders and the source read through the view only, so every backing
+ * store takes the same code path.
  */
 
 #ifndef PGB_PIPELINE_SHARD_SET_HPP
@@ -31,66 +25,71 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
+#include <span>
 #include <vector>
 
-#include "pipeline/source.hpp"
-#include "store/manifest.hpp"
+#include "graph/pangraph.hpp"
+#include "index/fm_index.hpp"
+#include "index/gbwt.hpp"
+#include "index/minimizer.hpp"
+#include "pipeline/chain.hpp"
+#include "store/store.hpp"
 
 namespace pgb::pipeline {
 
-class ShardCache;
-class ShardMinimizerSeeder;
-class ShardMemSeeder;
-
-/** GraphSource over a `.pgbs` shard set (see file comment). */
-class ShardSetSource final : public GraphSource
+/** One resident shard: a view plus its owner (see file comment). */
+class LoadedShard
 {
   public:
     /**
-     * Open the manifest at @p manifest_path and prepare routing.
-     * Shards are NOT loaded here — the first touch of each shard pays
-     * its mmap. @p cache_mb is the soft resident budget (0 =
-     * unlimited). Requesting kMem against a minimizer-built set is a
-     * FatalError, as is any manifest validation failure.
+     * Open @p artifact as a shard. With @p identity, local ids are
+     * global ids and linear bases come from the artifact's own graph;
+     * otherwise the artifact's SNOD/SLIN projection applies.
      */
-    static std::unique_ptr<const ShardSetSource>
-    open(const std::string &manifest_path, SeederKind seeder,
-         uint64_t cache_mb);
+    static std::shared_ptr<const LoadedShard>
+    fromArtifact(std::unique_ptr<const store::Artifact> artifact,
+                 bool identity);
 
-    ~ShardSetSource() override;
+    /**
+     * Index @p graph in memory under the identity projection. The
+     * graph is referenced, not copied, and must outlive the shard.
+     */
+    static std::shared_ptr<const LoadedShard>
+    build(const graph::PanGraph &graph, int k, int w, unsigned threads,
+          bool build_gbwt, bool build_fm, uint32_t fm_sample_rate);
 
-    // ---- GraphSource.
-    const char *kindName() const override { return "shard-set"; }
-    const Seeder &seeder() const override { return *seeder_; }
-    double avgNodeLength() const override { return avgNodeLength_; }
-    bool hasGbwt() const override { return manifest_.hasGbwt; }
-    size_t shardCount() const override { return manifest_.shards.size(); }
-    void extractSubgraph(graph::Handle start, size_t radius,
-                         graph::LocalGraph &out,
-                         uint32_t *origin) const override;
-    GbwtWalk gbwtWalkAt(uint32_t global_node) const override;
+    const graph::PanGraph *graph = nullptr;
+    const index::MinimizerIndex *minimizers = nullptr;
+    const index::GbwtIndex *gbwt = nullptr; ///< null: no haplotypes
+    const index::FmIndex *fm = nullptr;     ///< null: no MEM seeding
+    /// Local -> global node id; empty when local ids are global.
+    std::span<const uint32_t> origNodes;
+    /// Local node -> linear offset of its first base (global order).
+    std::span<const uint64_t> linearBases;
+    /// stepStarts[p][s] = path offset where step s of path p begins,
+    /// plus one trailing total-length entry; filled when fm is set.
+    std::vector<std::vector<uint64_t>> stepStarts;
+    /// Footprint charged to shard.resident_bytes: the file size of an
+    /// artifact, the index tables' sizes for an in-memory build.
+    uint64_t bytes = 0;
 
-    // ---- Shard-set surface.
-    int k() const { return static_cast<int>(manifest_.k); }
-    int w() const { return static_cast<int>(manifest_.w); }
-    const store::ShardManifest &manifest() const { return manifest_; }
+    /** Global node id of local node @p local. */
+    uint32_t
+    globalNode(uint32_t local) const
+    {
+        return origNodes.empty() ? local : origNodes[local];
+    }
 
   private:
-    friend class ShardMinimizerSeeder;
-    friend class ShardMemSeeder;
+    /** Step starts for MEM seeding; fatal on an FM/graph mismatch. */
+    void finish();
 
-    ShardSetSource(store::ShardManifest manifest, SeederKind seeder,
-                   uint64_t cache_mb);
-
-    store::ShardManifest manifest_;
-    store::ShardRouter router_;
-    std::unique_ptr<ShardCache> cache_;
-    /** Shard indices with embedded paths — the only shards that carry
-     *  seeds (pathless components are never touched by mapping). */
-    std::vector<uint32_t> seedShards_;
-    std::unique_ptr<Seeder> seeder_;
-    double avgNodeLength_ = 1.0;
+    // ---- The owner: exactly one of artifact_ / the built indexes.
+    std::unique_ptr<const store::Artifact> artifact_;
+    std::unique_ptr<const index::MinimizerIndex> builtMinimizers_;
+    std::unique_ptr<const index::GbwtIndex> builtGbwt_;
+    std::unique_ptr<const index::FmIndex> builtFm_;
+    std::unique_ptr<const GraphLinearization> linear_; ///< identity
 };
 
 } // namespace pgb::pipeline

@@ -1,7 +1,8 @@
 /**
  * @file
- * Allocation guard for the align stage: once warm, subgraph extraction
- * plus GSSW alignment into reused buffers performs no heap allocation.
+ * Allocation guard for the align stage: once warm, opening and closing
+ * a per-task pin set, subgraph extraction, and GSSW alignment into
+ * reused buffers perform no heap allocation.
  *
  * This file replaces the global operator new/delete with counting
  * versions, so it builds as its own executable (pgb_alloc_guard, ctest
@@ -167,8 +168,10 @@ makeTasks(const Fixture &f)
 }
 
 /**
- * One warm-up pass over the tasks brings every reused buffer to its
- * high-water size; the next 1,000 tasks must then allocate nothing.
+ * One warm-up pass over the tasks brings every reused buffer (and the
+ * thread's pin-set storage) to its high-water size; the next 1,000
+ * tasks, each opening its own pin set as a mapped read does, must then
+ * allocate nothing.
  */
 void
 expectAllocationFree(const pipeline::GraphSource &source,
@@ -182,8 +185,9 @@ expectAllocationFree(const pipeline::GraphSource &source,
     align::GsswResult result;
     uint64_t cells = 0;
     auto run = [&](const Task &task) {
+        pipeline::PinSet pins(source);
         uint32_t origin = 0;
-        source.extractSubgraph(task.start, task.radius, subgraph,
+        source.extractSubgraph(pins, task.start, task.radius, subgraph,
                                &origin);
         align::gsswAlignInto(subgraph, task.query, params, options,
                              result);

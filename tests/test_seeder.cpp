@@ -1,11 +1,11 @@
 /**
- * @file
- * Seeder-strategy tests: the refactor that put seeding behind the
- * Seeder interface must be invisible for the minimizer backend
- * (bit-identical anchors to calling collectAnchorsInto directly) and
- * fully deterministic for the MEM backend — same anchors run-to-run,
- * build-context vs artifact-view context, and thread count 1 vs 8
- * (the ctest seeder_threads_{1,8} lanes rerun this file).
+ * Seeder-strategy tests: the minimizer backend must be bit-identical
+ * to calling collectAnchorsInto directly, the MEM backend fully
+ * deterministic (run-to-run and at thread count 1 vs 8 — the ctest
+ * seeder_threads_{1,8} lanes rerun this file), and both must read
+ * every backing store alike: an in-memory build, a `.pgbi` artifact, a
+ * one-shard and a multi-shard `.pgbs` set yield the same anchors and
+ * the same subgraphs.
  */
 
 #include <gtest/gtest.h>
@@ -24,9 +24,11 @@
 #include "pipeline/context.hpp"
 #include "pipeline/mapper.hpp"
 #include "seq/read_sim.hpp"
+#include "store/shard_build.hpp"
 #include "store/store.hpp"
 #include "synth/pangenome_sim.hpp"
 #include "temp_path.hpp"
+#include "union_fixture.hpp"
 
 namespace {
 
@@ -85,13 +87,14 @@ std::vector<pipeline::Anchor>
 collectVia(const pipeline::MappingContext &context,
            const seq::Sequence &read)
 {
+    pipeline::PinSet pins(context.source());
     std::vector<pipeline::Anchor> anchors;
-    context.seeder().collect(read, anchors);
+    context.seeder().collect(pins, read, anchors);
     return anchors;
 }
 
 // ---------------------------------------------------------------------
-// MinimizerSeeder: a pass-through, proven bit-identical
+// Minimizer seeding: bit-identical to the reference collector
 // ---------------------------------------------------------------------
 
 TEST(Seeder, MinimizerSeederBitIdenticalToCollectAnchors)
@@ -99,10 +102,15 @@ TEST(Seeder, MinimizerSeederBitIdenticalToCollectAnchors)
     const auto context = buildContext(pipeline::SeederKind::kMinimizer);
     ASSERT_EQ(context->seeder().kind(),
               pipeline::SeederKind::kMinimizer);
+    // The reference: a monolithic table and linearization of its own,
+    // read by the plain collector.
+    const auto &graph = fixture().pangenome.graph;
+    const index::MinimizerIndex minimizers(graph, context->k(),
+                                           context->w());
+    const pipeline::GraphLinearization linear(graph);
     for (const seq::Sequence &read : fixture().reads) {
         std::vector<pipeline::Anchor> direct;
-        pipeline::collectAnchorsInto(read, context->minimizers(),
-                                     context->linearization(), direct);
+        pipeline::collectAnchorsInto(read, minimizers, linear, direct);
         EXPECT_EQ(anchorTuples(collectVia(*context, read)),
                   anchorTuples(direct))
             << read.name();
@@ -110,7 +118,7 @@ TEST(Seeder, MinimizerSeederBitIdenticalToCollectAnchors)
 }
 
 // ---------------------------------------------------------------------
-// MemSeeder: determinism and anchor-geometry correctness
+// MEM seeding: determinism and anchor-geometry correctness
 // ---------------------------------------------------------------------
 
 TEST(Seeder, MemSeederIsDeterministic)
@@ -221,26 +229,148 @@ TEST(Seeder, MemSeederSkipsReadsShorterThanK)
 // Context plumbing: build vs artifact view, end-to-end mapping
 // ---------------------------------------------------------------------
 
-TEST(Seeder, MemSeederViaArtifactMatchesInMemoryBuild)
+/** Per-node bases and successor lists of @p sub, comparable. */
+std::vector<std::pair<std::vector<uint8_t>, std::vector<uint32_t>>>
+subgraphShape(const graph::LocalGraph &sub)
 {
-    const auto &graph = fixture().pangenome.graph;
-    const auto built = buildContext(pipeline::SeederKind::kMem);
+    std::vector<std::pair<std::vector<uint8_t>, std::vector<uint32_t>>>
+        shape;
+    for (uint32_t v = 0; v < sub.nodeCount(); ++v) {
+        const auto bases = sub.nodeSeq(v);
+        const auto next = sub.successors(v);
+        shape.emplace_back(std::vector<uint8_t>(bases.begin(), bases.end()),
+                           std::vector<uint32_t>(next.begin(), next.end()));
+    }
+    return shape;
+}
+
+TEST(Seeder, EverySourceSeedsAndExtractsIdentically)
+{
+    // One multi-component graph behind every backing store: an
+    // in-memory build, a `.pgbi`, a one-shard `.pgbs` (all components
+    // in one bin) and a one-shard-per-component `.pgbs`. For both
+    // seeders, every read must yield the same anchors, and the
+    // subgraph extracted at every anchor the same bases, edges and
+    // origin. The last component copies the first, so reads from it
+    // seed in two shards at once: the per-shard merge and the summed
+    // repeat cap are exercised, not just routing.
+    static const test::UnionFixture fixture(3, 8000, 8, true);
+    const graph::PanGraph &graph = fixture.graph;
 
     const index::MinimizerIndex minimizers(graph, 15, 10);
-    const index::FmIndex fm(graph);
-    const std::string path = test::testTempPath("seeder_fixture.pgbi");
-    store::writeArtifact(path, graph, minimizers, nullptr, &fm);
-    const auto loaded = pipeline::MappingContext::Builder()
-                            .fromArtifact(path)
-                            .seeder(pipeline::SeederKind::kMem)
-                            .build();
-    ASSERT_NE(loaded->fmIndex(), nullptr);
-    EXPECT_TRUE(loaded->fmIndex()->isView());
+    const index::GbwtIndex gbwt(graph);
+    const index::FmIndex fm(graph, 8);
+    const std::string artifact = test::testTempPath("seeder_union.pgbi");
+    store::writeArtifact(artifact, graph, minimizers, &gbwt, &fm);
+    store::ShardBuildParams params;
+    params.seeder = "mem";
+    params.targetShardMb = 1024;
+    const auto one_shard = store::buildShardSet(
+        graph, params, test::testTempPath("seeder_union_one.pgbs"));
+    ASSERT_EQ(one_shard.shards.size(), 1u);
+    params.targetShardMb = 0;
+    const auto per_component = store::buildShardSet(
+        graph, params, test::testTempPath("seeder_union_many.pgbs"));
+    ASSERT_EQ(per_component.shards.size(), fixture.chromosomes + 1);
 
-    for (const seq::Sequence &read : fixture().reads) {
-        EXPECT_EQ(anchorTuples(collectVia(*loaded, read)),
-                  anchorTuples(collectVia(*built, read)))
-            << read.name();
+    for (const auto kind :
+         {pipeline::SeederKind::kMinimizer, pipeline::SeederKind::kMem}) {
+        using Builder = pipeline::MappingContext::Builder;
+        const auto reference = Builder()
+                                   .fromGraph(graph)
+                                   .seeder(kind)
+                                   .buildGbwt(true)
+                                   .fmSampleRate(8)
+                                   .build();
+        const std::vector<std::shared_ptr<const pipeline::MappingContext>>
+            others = {
+                Builder().fromArtifact(artifact).seeder(kind).build(),
+                Builder().fromManifest(one_shard.path).seeder(kind).build(),
+                Builder()
+                    .fromManifest(per_component.path)
+                    .seeder(kind)
+                    .build(),
+            };
+        size_t anchors_seen = 0;
+        for (const seq::Sequence &read : fixture.reads) {
+            const auto want = collectVia(*reference, read);
+            anchors_seen += want.size();
+            for (size_t c = 0; c < others.size(); ++c) {
+                const auto &other = *others[c];
+                ASSERT_EQ(anchorTuples(collectVia(other, read)),
+                          anchorTuples(want))
+                    << pipeline::seederName(kind) << " source " << c
+                    << " read " << read.name();
+                pipeline::PinSet want_pins(reference->source());
+                pipeline::PinSet got_pins(other.source());
+                for (const pipeline::Anchor &anchor : want) {
+                    const graph::Handle at(anchor.node, anchor.reverse);
+                    graph::LocalGraph a, b;
+                    uint32_t a_origin = 0, b_origin = 0;
+                    reference->source().extractSubgraph(
+                        want_pins, at, 150, a, &a_origin);
+                    other.source().extractSubgraph(got_pins, at, 150, b,
+                                                   &b_origin);
+                    ASSERT_EQ(subgraphShape(b), subgraphShape(a))
+                        << "source " << c << " node " << anchor.node;
+                    ASSERT_EQ(b_origin, a_origin);
+                }
+            }
+        }
+        EXPECT_GT(anchors_seen, 0u) << pipeline::seederName(kind);
+    }
+}
+
+TEST(Seeder, StandaloneShardArtifactMapsLikeItsGraph)
+{
+    // A shard file opened on its own with fromArtifact maps in its own
+    // (local) ids, exactly like an in-memory build over the shard's
+    // graph: its SNOD/SLIN projection applies only inside its set.
+    static const test::UnionFixture fixture(2, 8000, 8);
+    store::ShardBuildParams params;
+    params.seeder = "mem";
+    params.targetShardMb = 0;
+    const auto manifest = store::buildShardSet(
+        fixture.graph, params, test::testTempPath("seeder_alone.pgbs"));
+    ASSERT_EQ(manifest.shards.size(), 2u);
+    const std::string shard_path = manifest.shardPath(1);
+    const auto shard = store::Artifact::load(shard_path);
+    ASSERT_TRUE(shard->isShard());
+
+    for (const auto kind :
+         {pipeline::SeederKind::kMinimizer, pipeline::SeederKind::kMem}) {
+        const auto standalone = pipeline::MappingContext::Builder()
+                                    .fromArtifact(shard_path)
+                                    .seeder(kind)
+                                    .build();
+        EXPECT_STREQ(standalone->source().kindName(), "monolith");
+        const auto built = pipeline::MappingContext::Builder()
+                               .fromGraph(shard->graph())
+                               .seeder(kind)
+                               .buildGbwt(true)
+                               .fmSampleRate(params.fmSampleRate)
+                               .build();
+        for (const seq::Sequence &read : fixture.reads) {
+            EXPECT_EQ(anchorTuples(collectVia(*standalone, read)),
+                      anchorTuples(collectVia(*built, read)))
+                << read.name();
+        }
+        for (const auto tool : {pipeline::ToolProfile::kVgMap,
+                                pipeline::ToolProfile::kVgGiraffe}) {
+            const auto config = pipeline::MapperConfig::forTool(tool);
+            std::vector<pipeline::ReadMapping> a, b;
+            const auto stats =
+                pipeline::mapBatch(*standalone, config, fixture.reads, a);
+            pipeline::mapBatch(*built, config, fixture.reads, b);
+            EXPECT_GT(stats.mappedReads, 0u);
+            ASSERT_EQ(a.size(), b.size());
+            for (size_t r = 0; r < a.size(); ++r) {
+                EXPECT_EQ(a[r].mapped, b[r].mapped) << r;
+                EXPECT_EQ(a[r].node, b[r].node) << r;
+                EXPECT_EQ(a[r].score, b[r].score) << r;
+                EXPECT_EQ(a[r].reverse, b[r].reverse) << r;
+            }
+        }
     }
 }
 
