@@ -116,18 +116,52 @@ FmIndex::FmIndex(uint32_t sample_rate, std::span<const uint8_t> bwt,
 void
 FmIndex::initDerived()
 {
-    // C[] from the final occ checkpoint plus the tail block: symbol
-    // counts over the whole BWT, which is a permutation of the text.
     const uint64_t n = bwt_.size();
-    uint64_t counts[kAlphabet] = {};
-    const uint64_t last_block = n / kOccBlock;
-    for (uint32_t c = 0; c < kAlphabet; ++c)
-        counts[c] = occ_[last_block * kAlphabet + c];
-    for (uint64_t r = last_block * kOccBlock; r < n; ++r)
-        ++counts[bwt_[r]];
+    if (n >= UINT32_MAX)
+        core::fatal("FM-index text too large for uint32 rank blocks (",
+                    n, " symbols)");
+
+    // Rank blocks: running counts at every block start, the planes of
+    // the block's symbols, and one block past the last full one so
+    // rank(c, n) needs no special case.
+    blocks_.assign(n / kOccBlock + 1, RankBlock{});
+    uint32_t running[kAlphabet] = {};
+    for (uint64_t r = 0; r < n; ++r) {
+        RankBlock &block = blocks_[r / kOccBlock];
+        if (r % kOccBlock == 0)
+            std::copy(running, running + kAlphabet, block.counts);
+        const uint8_t sym = bwt_[r];
+        for (uint32_t k = 0; k < 3; ++k)
+            block.planes[k] |= uint64_t{(sym >> k) & 1u} << (r % kOccBlock);
+        ++running[sym];
+    }
+    if (n % kOccBlock == 0)
+        std::copy(running, running + kAlphabet, blocks_.back().counts);
+
     cumulative_[0] = 0;
     for (uint32_t c = 0; c < kAlphabet; ++c)
-        cumulative_[c + 1] = cumulative_[c] + counts[c];
+        cumulative_[c + 1] = cumulative_[c] + running[c];
+
+    // K-mer table, level by level: the ranges of c·P from those of P.
+    const uint32_t log4 =
+        n == 0 ? 0 : (static_cast<uint32_t>(std::bit_width(n)) - 1) / 2;
+    kmerLength_ = std::clamp<uint32_t>(log4, 4, 13) - 3;
+    kmers_.assign(kmerLevel(kmerLength_ + 1), KmerBounds{});
+    kmers_[0] = {0, static_cast<uint32_t>(n)};
+    for (uint32_t d = 1; d <= kmerLength_; ++d) {
+        const uint64_t parents = uint64_t{1} << (2 * (d - 1));
+        for (uint64_t key = 0; key < parents; ++key) {
+            const KmerBounds &parent = kmers_[kmerLevel(d - 1) + key];
+            if (parent.lo >= parent.hi)
+                continue;
+            for (uint8_t base = 0; base < 4; ++base) {
+                const SaRange child = extend({parent.lo, parent.hi}, base);
+                kmers_[kmerLevel(d) + (uint64_t{base} << (2 * (d - 1))) +
+                       key] = {static_cast<uint32_t>(child.lo),
+                               static_cast<uint32_t>(child.hi)};
+            }
+        }
+    }
 
     markRankWords_.resize(marks_.size());
     uint64_t seen = 0;
@@ -140,11 +174,25 @@ FmIndex::initDerived()
 uint64_t
 FmIndex::rankSymbol(uint8_t symbol, uint64_t limit) const
 {
-    const uint64_t block = limit / kOccBlock;
-    uint64_t count = occ_[block * kAlphabet + symbol];
-    for (uint64_t r = block * kOccBlock; r < limit; ++r)
-        count += bwt_[r] == symbol;
-    return count;
+    const RankBlock &block = blocks_[limit / kOccBlock];
+    // plane k ^ ~0 when bit k of the symbol is clear: all three words
+    // then have bit i set exactly where bwt[i] == symbol.
+    const uint64_t match =
+        (block.planes[0] ^ (uint64_t{symbol & 1u} - 1)) &
+        (block.planes[1] ^ (uint64_t{(symbol >> 1) & 1u} - 1)) &
+        (block.planes[2] ^ (uint64_t{(symbol >> 2) & 1u} - 1));
+    const uint64_t below = (uint64_t{1} << (limit % kOccBlock)) - 1;
+    return block.counts[symbol] + std::popcount(match & below);
+}
+
+uint8_t
+FmIndex::symbolAt(uint64_t rank) const
+{
+    const RankBlock &block = blocks_[rank / kOccBlock];
+    const uint64_t bit = rank % kOccBlock;
+    return static_cast<uint8_t>(((block.planes[0] >> bit) & 1u) |
+                                (((block.planes[1] >> bit) & 1u) << 1) |
+                                (((block.planes[2] >> bit) & 1u) << 2));
 }
 
 uint64_t
@@ -187,7 +235,7 @@ FmIndex::locate(uint64_t rank) const
 {
     uint64_t steps = 0;
     while (!markedRank(rank)) {
-        const uint8_t sym = bwt_[rank];
+        const uint8_t sym = symbolAt(rank);
         rank = cumulative_[sym] + rankSymbol(sym, rank);
         ++steps;
     }
@@ -211,7 +259,6 @@ FmIndex::resolve(uint64_t text_pos) const
 void
 SmemSet::resetFull(Ranges &ranges) const
 {
-    ranges.resize(width_);
     for (size_t s = 0; s < width_; ++s)
         ranges[s] = indexes_[s]->fullRange();
 }
@@ -240,12 +287,41 @@ SmemSet::extendLeft(std::span<const uint8_t> query, uint32_t b,
     return b;
 }
 
+uint32_t
+SmemSet::search(std::span<const uint8_t> query, uint32_t end,
+                uint32_t floor, Ranges &ranges)
+{
+    // The longest ACGT run of at most kmerLength_ bases ending at end
+    // and lying at or above floor, packed first base most significant.
+    uint32_t length = 0;
+    uint64_t key = 0;
+    while (length < kmerLength_ && end - length > floor) {
+        const uint8_t base = query[end - length - 1];
+        if (base > 3)
+            break;
+        key |= uint64_t{base} << (2 * length);
+        ++length;
+    }
+    if (length > 0) {
+        bool occurs = false;
+        for (size_t s = 0; s < width_; ++s) {
+            ranges[s] = indexes_[s]->kmerRange(length, key);
+            occurs |= !ranges[s].empty();
+        }
+        if (occurs) {
+            steps_ += width_;
+            return extendLeft(query, end - length, floor, ranges);
+        }
+    }
+    resetFull(ranges);
+    return extendLeft(query, end, floor, ranges);
+}
+
 bool
 SmemSet::probe(std::span<const uint8_t> query, uint32_t begin,
                uint32_t end)
 {
-    resetFull(probe_);
-    return extendLeft(query, end, begin, probe_) == begin;
+    return search(query, end, begin, probe_) == begin;
 }
 
 uint64_t
@@ -257,7 +333,11 @@ SmemSet::collect(std::span<const FmIndex *const> indexes,
     steps_ = 0;
     bounds_.clear();
     ranges_.clear();
-    next_.resize(width_);
+    for (Ranges *ranges : {&cur_, &next_, &probe_, &best_})
+        ranges->resize(width_);
+    kmerLength_ = UINT32_MAX;
+    for (const FmIndex *index : indexes)
+        kmerLength_ = std::min(kmerLength_, index->kmerLength());
     const auto m = static_cast<uint32_t>(query.size());
     const uint32_t min_len = std::max(min_length, 1u);
     if (width_ == 0 || m < min_len)
@@ -270,8 +350,7 @@ SmemSet::collect(std::span<const FmIndex *const> indexes,
     while (true) {
         if (m - x < min_len)
             return steps_;
-        resetFull(cur_);
-        const uint32_t y = extendLeft(query, x + min_len, x, cur_);
+        const uint32_t y = search(query, x + min_len, x, cur_);
         if (y == x)
             break;
         x = y;
@@ -281,8 +360,7 @@ SmemSet::collect(std::span<const FmIndex *const> indexes,
     // (b) Jump from right-maximal end to right-maximal end, from e = m
     // down, carrying (e, b(e), ranges of query[b(e), e)) in cur_.
     uint32_t e = m;
-    resetFull(cur_);
-    uint32_t b = extendLeft(query, e, 0, cur_);
+    uint32_t b = search(query, e, 0, cur_);
     while (true) {
         if (e - b >= min_len) {
             bounds_.push_back({b, e});

@@ -10,14 +10,31 @@
  * uint32 alphabet); from it the index keeps only the BWT plus
  * sampled structures:
  *
- *  - occ checkpoints every kOccBlock BWT symbols (rank = checkpoint
- *    + short scan), the classic time/space knob of FM-indexes;
+ *  - occ checkpoints every kOccBlock BWT symbols, the persisted form
+ *    of the rank directory (with the BWT bytes, what an artifact
+ *    stores);
  *  - a sampled suffix array: text positions that are multiples of
  *    sampleRate are marked in a bitvector and their SA values stored;
  *    locate() LF-walks to the nearest mark. Every path start is also
  *    marked, so a locate walk never has to LF across a sentinel —
  *    which keeps the equal-sentinel multi-string BWT exact without
  *    per-path sentinel symbols.
+ *
+ * From those the index derives, in build and artifact-view mode
+ * alike, the two structures every query runs on (BWA/ropebwt3 style):
+ *
+ *  - rank blocks, one per 64 BWT symbols: the six symbol counts before
+ *    the block plus three 64-bit bit-planes (bit k of each symbol's
+ *    code). rank(c, i) is the block count plus the popcount of the
+ *    planes matching c below i, so every extend() and LF step is
+ *    constant time and locate() decodes symbols from the planes
+ *    without touching the BWT bytes; 48 bytes per 64 symbols;
+ *  - a k-mer interval table: the SA range of every ACGT string of
+ *    length 1..kmerLength(), with kmerLength() = clamp(floor(log4 n)
+ *    - 3, 1, 10) for text length n, so the table's last level has at
+ *    most n/64 entries (at most ~0.17 bytes per symbol in all). A
+ *    backward search seeds its first bases with one lookup instead of
+ *    one extend() per base.
  *
  * Patterns never contain the sentinel, so matches never span path
  * boundaries; backward extension (`extend`/`find`) is exact for any
@@ -46,7 +63,17 @@
  *      the backward extension of E's probe range from b-1. Stop once
  *      E < x0 + L or b = 0.
  *
- * On one index an exact match of length m thus costs m + L extension
+ * Every fresh backward search from full ranges (each window, the first
+ * jump extension, each gallop or binary-search probe) starts with one
+ * k-mer table lookup per member, over the longest ACGT run of at most
+ * the members' smallest kmerLength() that ends the searched string and
+ * lies above its floor. If that k-mer occurs in some member, lockstep
+ * extension would have succeeded over every one of its bases and left
+ * exactly the looked-up ranges (empty in members it is absent from),
+ * so the search continues from there; otherwise it steps from the
+ * full ranges. The output does not depend on the table.
+ *
+ * On one index an exact match of length m thus costs at most m + L
  * steps instead of the O(m * match length) of restarting a backward
  * search at every end position, and a query that occurs nowhere costs
  * a few failed windows. The output is exactly the SMEM set of length
@@ -136,6 +163,25 @@ class FmIndex
     /** Occurrence count of @p pattern. */
     uint64_t count(std::span<const uint8_t> pattern) const;
 
+    /** Occurrences of FM symbol @p symbol (< kAlphabet) in
+     *  bwt[0, @p limit), @p limit <= textLength(). */
+    uint64_t rankSymbol(uint8_t symbol, uint64_t limit) const;
+
+    /** Longest k-mer length the interval table answers (>= 1). */
+    uint32_t kmerLength() const { return kmerLength_; }
+
+    /**
+     * Interval of the ACGT string of @p length (1..kmerLength()) bases
+     * packed in @p key, two bits per base code, first base most
+     * significant: find() of that string, or an empty range.
+     */
+    SaRange
+    kmerRange(uint32_t length, uint64_t key) const
+    {
+        const KmerBounds &bounds = kmers_[kmerLevel(length) + key];
+        return {bounds.lo, bounds.hi};
+    }
+
     /** Text position of the suffix at SA rank @p rank. */
     uint64_t locate(uint64_t rank) const;
 
@@ -153,11 +199,32 @@ class FmIndex
     }
 
   private:
-    /** Derive C[] and the mark rank directory from the stored arrays. */
+    /** Counts and bit-planes of 64 BWT symbols (see file comment). */
+    struct RankBlock
+    {
+        uint32_t counts[kAlphabet]; ///< occurrences before the block
+        uint64_t planes[3];         ///< bit k of each symbol code
+    };
+
+    struct KmerBounds
+    {
+        uint32_t lo = 0, hi = 0;
+    };
+
+    /** Index of the first k-mer of @p length in kmers_ (levels 0..K
+     *  stored one after another, 4^d entries at level d). */
+    static uint64_t
+    kmerLevel(uint32_t length)
+    {
+        return ((uint64_t{1} << (2 * length)) - 1) / 3;
+    }
+
+    /** Derive the rank blocks, C[], the k-mer table and the mark rank
+     *  directory from the stored arrays. */
     void initDerived();
 
-    /** Occurrences of @p symbol in bwt[0, @p limit). */
-    uint64_t rankSymbol(uint8_t symbol, uint64_t limit) const;
+    /** The BWT symbol at @p rank, decoded from the bit-planes. */
+    uint8_t symbolAt(uint64_t rank) const;
 
     bool
     markedRank(uint64_t rank) const
@@ -186,6 +253,11 @@ class FmIndex
 
     /** C[c] = number of text symbols smaller than c (derived). */
     uint64_t cumulative_[kAlphabet + 1] = {};
+    /** One per 64 BWT symbols, plus one at the end (derived). */
+    std::vector<RankBlock> blocks_;
+    /** kmerLength() and the k-mer interval table (derived). */
+    uint32_t kmerLength_ = 1;
+    std::vector<KmerBounds> kmers_;
     /** Per-word prefix popcounts of marks_ (derived). */
     std::vector<uint32_t> markRankWords_;
 };
@@ -201,8 +273,12 @@ class SmemSet
     /**
      * Enumerate the SMEMs of @p query of length at least
      * @p min_length over @p indexes, replacing the previous contents;
-     * returns the number of backward-extension steps taken (one per
-     * FmIndex::extend, summed over the member indexes).
+     * returns the number of FM-index steps taken, summed over the
+     * member indexes: one per FmIndex::extend, and one per member for
+     * a k-mer table lookup that seeded a search (a lookup of a k-mer
+     * absent from every member is followed by ordinary steps and is
+     * not counted, so a seeded search never counts more steps than
+     * stepping would).
      */
     uint64_t collect(std::span<const FmIndex *const> indexes,
                      std::span<const uint8_t> query, uint32_t min_length);
@@ -233,6 +309,14 @@ class SmemSet
     uint32_t extendLeft(std::span<const uint8_t> query, uint32_t b,
                         uint32_t floor, Ranges &ranges);
 
+    /**
+     * Fresh backward search of query[.., @p end) down to @p floor: seed
+     * @p ranges from the k-mer table, then extendLeft(); returns the
+     * final begin, as extendLeft() from the full ranges would.
+     */
+    uint32_t search(std::span<const uint8_t> query, uint32_t end,
+                    uint32_t floor, Ranges &ranges);
+
     /** Whether query[@p begin, @p end) occurs; its ranges in probe_. */
     bool probe(std::span<const uint8_t> query, uint32_t begin,
                uint32_t end);
@@ -244,6 +328,7 @@ class SmemSet
 
     std::span<const FmIndex *const> indexes_; ///< valid during collect()
     size_t width_ = 0;
+    uint32_t kmerLength_ = 0; ///< the members' smallest kmerLength()
     uint64_t steps_ = 0;
     std::vector<Bounds> bounds_;
     Ranges ranges_;

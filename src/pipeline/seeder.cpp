@@ -86,6 +86,11 @@ appendOccurrenceAnchors(const LoadedShard &shard,
     const graph::PanGraph &graph = *shard.graph;
     const auto &starts = shard.stepStarts[pos.path];
     const auto &steps = graph.pathSteps(pos.path);
+    // The step holding the occurrence start; window offsets ascend, so
+    // each later window's step is found by walking forward from it.
+    auto step = static_cast<size_t>(
+        std::upper_bound(starts.begin(), starts.end(), pos.offset) -
+        starts.begin() - 1);
     uint32_t window = 0;
     bool flushed = false;
     while (true) {
@@ -96,9 +101,8 @@ appendOccurrenceAnchors(const LoadedShard &shard,
             flushed = true;
         }
         const uint64_t path_off = pos.offset + window;
-        const auto step = static_cast<size_t>(
-            std::upper_bound(starts.begin(), starts.end(), path_off) -
-            starts.begin() - 1);
+        while (starts[step + 1] <= path_off)
+            ++step;
         const graph::Handle handle = steps[step];
         const uint64_t in_step = path_off - starts[step];
         const auto node_length =

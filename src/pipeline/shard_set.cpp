@@ -168,9 +168,9 @@ class ShardCache
      *  shard, which no manifest file backs; the budget must be 0). */
     void adopt(uint32_t shard, std::shared_ptr<const LoadedShard> loaded);
 
-    /** Provider callback body: per-shard residency gauges. */
-    void appendResidency(
-        std::vector<std::pair<std::string, int64_t>> &out) const;
+    /** Provider callback body: add 1 to @p resident[i] for every
+     *  resident shard i (growing @p resident as needed). */
+    void addResidency(std::vector<int64_t> &resident) const;
 
   private:
     std::shared_ptr<const LoadedShard> loadLocked(uint32_t shard) const;
@@ -220,12 +220,22 @@ registerCache(const ShardCache *cache)
         std::lock_guard<std::mutex> lock(cacheRegistryLock());
         cacheRegistry().push_back(cache);
     }
+    // One entry per shard id, summed over the live caches: several
+    // sources over one manifest (a daemon mid-reload, a context per
+    // seeder) must not publish one name twice.
     std::call_once(cacheProviderOnce, [] {
         obs::registerProvider(
             [](std::vector<std::pair<std::string, int64_t>> &out) {
-                std::lock_guard<std::mutex> lock(cacheRegistryLock());
-                for (const ShardCache *cache : cacheRegistry())
-                    cache->appendResidency(out);
+                std::vector<int64_t> resident;
+                {
+                    std::lock_guard<std::mutex> lock(cacheRegistryLock());
+                    for (const ShardCache *cache : cacheRegistry())
+                        cache->addResidency(resident);
+                }
+                for (size_t s = 0; s < resident.size(); ++s)
+                    out.emplace_back("shard." + std::to_string(s) +
+                                         ".resident",
+                                     resident[s]);
             });
     });
 }
@@ -377,14 +387,13 @@ ShardCache::evictLocked(uint32_t keep) const
 }
 
 void
-ShardCache::appendResidency(
-    std::vector<std::pair<std::string, int64_t>> &out) const
+ShardCache::addResidency(std::vector<int64_t> &resident) const
 {
     std::lock_guard<std::mutex> lock(lock_);
-    for (size_t s = 0; s < resident_.size(); ++s) {
-        out.emplace_back("shard." + std::to_string(s) + ".resident",
-                         resident_[s] != nullptr ? 1 : 0);
-    }
+    if (resident.size() < resident_.size())
+        resident.resize(resident_.size(), 0);
+    for (size_t s = 0; s < resident_.size(); ++s)
+        resident[s] += resident_[s] != nullptr ? 1 : 0;
 }
 
 // ---------------------------------------------------------------------

@@ -36,7 +36,8 @@
  *
  * Observability: counters shard.{loads,evictions,hits,
  * cross_shard_reads}, gauges shard.{resident,resident_bytes}, a
- * per-shard residency provider (shard.<i>.resident, surfaced by
+ * per-shard residency provider (shard.<i>.resident: how many live
+ * sources hold shard i resident, one entry per shard id, surfaced by
  * `pgb ctl status`), and a "shard.load" span around each mmap.
  */
 

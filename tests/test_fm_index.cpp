@@ -11,7 +11,11 @@
  * seeding regime (read-length queries at min_length 15 on both
  * strands of haplotype-like texts), at multiple (min_length,
  * sample_rate) settings and over texts split across several indexes.
- * The same DP bounds the enumerator's work. The ctest lanes run
+ * The same DP bounds the enumerator's work. The rank blocks are
+ * checked against naive symbol counts at every rank, locate() against
+ * the suffix array, and the k-mer table against find(); SMEM cases
+ * built so that table lookups hit N, miss every member or hit one
+ * member only run against the oracle too. The ctest lanes run
  * this file under PGB_THREADS=1 and 8; identical results prove the
  * index is thread-count independent.
  */
@@ -27,7 +31,11 @@
 #include "core/rng.hpp"
 #include "graph/pangraph.hpp"
 #include "index/fm_index.hpp"
+#include "index/minimizer.hpp"
+#include "index/suffix_array.hpp"
 #include "seq/sequence.hpp"
+#include "store/store.hpp"
+#include "temp_path.hpp"
 
 namespace {
 
@@ -43,8 +51,9 @@ pathGraph(const std::vector<std::string> &texts)
     for (size_t p = 0; p < texts.size(); ++p) {
         const graph::NodeId node =
             graph.addNode(seq::Sequence("", texts[p]));
-        graph.addPath("p" + std::to_string(p),
-                      {graph::Handle(node, false)});
+        std::string name = "p";
+        name += std::to_string(p);
+        graph.addPath(name, {graph::Handle(node, false)});
     }
     return graph;
 }
@@ -570,6 +579,255 @@ TEST(FmIndex, LockstepOverSplitTextsMatchesSingleIndexAndOracle)
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Rank blocks and the k-mer interval table
+// ---------------------------------------------------------------------
+
+/** The FM text of @p texts: base code + 1 per base, 0 after a path. */
+std::vector<uint32_t>
+fmText(const std::vector<std::string> &texts)
+{
+    std::vector<uint32_t> text;
+    for (const std::string &path : texts) {
+        for (const uint8_t code : codesOf(path))
+            text.push_back(code + 1u);
+        text.push_back(0);
+    }
+    return text;
+}
+
+/** Two paths with Ns whose FM text is exactly @p n symbols long. */
+std::vector<std::string>
+textsOfLength(core::Xoshiro256StarStar &rng, size_t n)
+{
+    const size_t first = n / 3;
+    return {randomText(rng, first, 0.05),
+            randomText(rng, n - first - 2, 0.05)};
+}
+
+TEST(FmIndex, RankAndExtendMatchNaiveCountsAtEveryRank)
+{
+    // On and off the 64-symbol block boundary; the BWT holds
+    // sentinels and Ns as well as bases.
+    core::Xoshiro256StarStar rng(0x4a9c);
+    for (const size_t n : {64u, 128u, 640u, 65u, 127u, 1001u}) {
+        const FmIndex fm(pathGraph(textsOfLength(rng, n)), 4);
+        ASSERT_EQ(fm.textLength(), n);
+        const auto bwt = fm.bwtData();
+        uint64_t smaller[FmIndex::kAlphabet + 1] = {};
+        for (const uint8_t sym : bwt)
+            ++smaller[sym + 1];
+        for (uint32_t c = 0; c < FmIndex::kAlphabet; ++c)
+            smaller[c + 1] += smaller[c];
+        uint64_t counts[FmIndex::kAlphabet] = {};
+        for (uint64_t r = 0; r <= n; ++r) {
+            for (uint8_t sym = 0; sym < FmIndex::kAlphabet; ++sym)
+                ASSERT_EQ(fm.rankSymbol(sym, r), counts[sym])
+                    << "n " << n << " rank " << r << " symbol "
+                    << int(sym);
+            for (uint8_t base = 0; base < 5; ++base) {
+                const FmIndex::SaRange range = fm.extend({0, r}, base);
+                ASSERT_EQ(range.lo, smaller[base + 1]);
+                ASSERT_EQ(range.hi, smaller[base + 1] + counts[base + 1])
+                    << "n " << n << " rank " << r << " base "
+                    << int(base);
+            }
+            if (r < n)
+                ++counts[bwt[r]];
+        }
+    }
+}
+
+TEST(FmIndex, LocateEqualsTheSuffixArray)
+{
+    core::Xoshiro256StarStar rng(0x10ca);
+    for (const size_t n : {64u, 257u, 1000u}) {
+        const auto texts = textsOfLength(rng, n);
+        const std::vector<uint32_t> sa = index::buildSuffixArray(fmText(texts));
+        for (const uint32_t rate : {1u, 5u, 32u}) {
+            const FmIndex fm(pathGraph(texts), rate);
+            for (uint64_t r = 0; r < n; ++r)
+                ASSERT_EQ(fm.locate(r), sa[r])
+                    << "n " << n << " rate " << rate << " rank " << r;
+        }
+    }
+}
+
+/** floor(log4 n) - 3, clamped to [1, 10]: counted, not computed. */
+uint32_t
+expectedKmerLength(uint64_t n)
+{
+    uint32_t log4 = 0;
+    while ((uint64_t{4} << (2 * log4)) <= n)
+        ++log4;
+    return std::clamp<uint32_t>(log4, 4, 13) - 3;
+}
+
+TEST(FmIndex, KmerTableEqualsFindForEveryKmer)
+{
+    core::Xoshiro256StarStar rng(0x6e7);
+    // The K rule at its lower boundaries, and every table entry of a
+    // few indexes against a backward search.
+    for (const size_t n : {4u, 1023u, 1024u, 4095u, 4096u})
+        EXPECT_EQ(FmIndex(pathGraph(textsOfLength(rng, n)), 8)
+                      .kmerLength(),
+                  expectedKmerLength(n))
+            << "n " << n;
+    for (const size_t n : {300u, 5000u, 70000u}) {
+        const FmIndex fm(pathGraph(textsOfLength(rng, n)), 8);
+        ASSERT_EQ(fm.kmerLength(), expectedKmerLength(n));
+        size_t present = 0;
+        for (uint32_t length = 1; length <= fm.kmerLength(); ++length) {
+            for (uint64_t key = 0; key < (uint64_t{1} << (2 * length));
+                 ++key) {
+                std::vector<uint8_t> pattern(length);
+                for (uint32_t i = 0; i < length; ++i)
+                    pattern[i] = static_cast<uint8_t>(
+                        (key >> (2 * (length - 1 - i))) & 3u);
+                const FmIndex::SaRange expected = fm.find(pattern);
+                const FmIndex::SaRange got = fm.kmerRange(length, key);
+                ASSERT_EQ(got.size(), expected.size())
+                    << "n " << n << " length " << length << " key " << key;
+                if (!expected.empty()) {
+                    ASSERT_EQ(got.lo, expected.lo);
+                    ++present;
+                }
+            }
+        }
+        EXPECT_GT(present, 0u);
+    }
+}
+
+TEST(FmIndex, ArtifactViewAnswersLikeTheBuiltIndex)
+{
+    core::Xoshiro256StarStar rng(0xa7f1);
+    auto texts = haplotypeTexts(rng, 3000, 4, 0.01);
+    texts.push_back(randomText(rng, 701, 0.02));
+    const graph::PanGraph graph = pathGraph(texts);
+    const FmIndex built(graph, 8);
+    const index::MinimizerIndex minimizers(graph, 15, 10);
+    const std::string path = test::testTempPath("fm_view.pgbi");
+    store::writeArtifact(path, graph, minimizers, nullptr, &built);
+    const auto artifact = store::Artifact::load(path);
+    const FmIndex *view = artifact->fmIndex();
+    ASSERT_NE(view, nullptr);
+    ASSERT_TRUE(view->isView());
+    ASSERT_EQ(view->textLength(), built.textLength());
+    ASSERT_EQ(view->kmerLength(), built.kmerLength());
+    for (uint64_t r = 0; r < built.textLength(); ++r) {
+        ASSERT_EQ(view->locate(r), built.locate(r)) << "rank " << r;
+        for (uint8_t sym = 0; sym < FmIndex::kAlphabet; ++sym)
+            ASSERT_EQ(view->rankSymbol(sym, r), built.rankSymbol(sym, r));
+    }
+    const FmIndex *const built_one = &built;
+    index::SmemSet from_built, from_view;
+    for (int q = 0; q < 40; ++q) {
+        std::string query = readQuery(rng, texts, 150, rng.below(6));
+        if (q % 2 == 1)
+            query = reverseComplement(query);
+        from_built.collect({&built_one, 1}, codesOf(query), 15);
+        from_view.collect({&view, 1}, codesOf(query), 15);
+        ASSERT_EQ(from_view.size(), from_built.size()) << query;
+        for (size_t i = 0; i < from_built.size(); ++i) {
+            EXPECT_EQ(from_view.queryBegin(i), from_built.queryBegin(i));
+            EXPECT_EQ(from_view.queryEnd(i), from_built.queryEnd(i));
+            EXPECT_EQ(from_view.ranges(i)[0].lo, from_built.ranges(i)[0].lo);
+            EXPECT_EQ(from_view.ranges(i)[0].hi, from_built.ranges(i)[0].hi);
+        }
+    }
+}
+
+/** A random string over the two bases of @p alphabet. */
+std::string
+twoBaseText(core::Xoshiro256StarStar &rng, const char *alphabet,
+            size_t length)
+{
+    std::string text(length, alphabet[0]);
+    for (char &c : text)
+        c = alphabet[rng.below(2)];
+    return text;
+}
+
+TEST(FmIndex, TableSeededSmemsMatchOracle)
+{
+    // Texts over two-base alphabets, split round-robin over 1-4
+    // members: most k-mers of a query stitched from several texts
+    // occur in one member only or in none, and the Ns planted in the
+    // queries fall inside the seeded k bases of many searches. The
+    // short "AG" text leaves the 4-way split's last member with a
+    // shorter table than the others. Every case is checked against
+    // the oracle at min_length K-1, K, K+1 and 12, with K the
+    // members' smallest table length.
+    core::Xoshiro256StarStar rng(0x7ab1e);
+    std::vector<std::string> texts;
+    for (const char *alphabet : {"AC", "AC", "GT", "AG", "CT", "AT"})
+        texts.push_back(twoBaseText(rng, alphabet,
+                                    std::string(alphabet) == "AG" ? 1100
+                                                                  : 4200));
+    texts.push_back(randomText(rng, 40, 0.1));
+    size_t one_member = 0, no_member = 0, with_n = 0;
+    bool mixed_lengths = false;
+    for (size_t parts = 1; parts <= 4; ++parts) {
+        std::vector<std::vector<std::string>> groups(parts);
+        for (size_t t = 0; t < texts.size(); ++t)
+            groups[t % parts].push_back(texts[t]);
+        std::vector<std::unique_ptr<FmIndex>> owned;
+        std::vector<const FmIndex *> indexes;
+        uint32_t kmer = UINT32_MAX, longest = 0;
+        for (const auto &group : groups) {
+            owned.push_back(std::make_unique<FmIndex>(pathGraph(group), 4));
+            indexes.push_back(owned.back().get());
+            kmer = std::min(kmer, owned.back()->kmerLength());
+            longest = std::max(longest, owned.back()->kmerLength());
+        }
+        ASSERT_GE(kmer, 2u) << parts << " parts";
+        mixed_lengths |= longest > kmer;
+        for (int q = 0; q < 8; ++q) {
+            std::string query;
+            while (query.size() < 120) {
+                const std::string &text = texts[rng.below(texts.size())];
+                const size_t piece = 6 + rng.below(20);
+                query += text.substr(rng.below(text.size() - piece), piece);
+            }
+            for (size_t i = 0; i < 1 + rng.below(3); ++i)
+                query[rng.below(query.size())] = 'N';
+            with_n += query.find('N') != std::string::npos ? 1 : 0;
+            for (size_t at = 0; at + kmer <= query.size(); ++at) {
+                const std::string sub = query.substr(at, kmer);
+                if (sub.find('N') != std::string::npos)
+                    continue;
+                size_t members = 0;
+                for (const FmIndex *fm : indexes)
+                    members += fm->count(codesOf(sub)) > 0 ? 1 : 0;
+                no_member += members == 0 ? 1 : 0;
+                one_member += parts > 1 && members == 1 ? 1 : 0;
+            }
+            for (const uint32_t min_length :
+                 {kmer - 1, kmer, kmer + 1, 12u}) {
+                ASSERT_EQ(setMems(indexes, query, min_length),
+                          oracleMems(texts, query, min_length))
+                    << parts << " parts, min_length " << min_length
+                    << ", query " << query;
+                index::SmemSet set;
+                set.collect(indexes, codesOf(query), min_length);
+                for (size_t i = 0; i < set.size(); ++i) {
+                    const std::string sub = query.substr(
+                        set.queryBegin(i),
+                        set.queryEnd(i) - set.queryBegin(i));
+                    for (size_t g = 0; g < parts; ++g)
+                        EXPECT_EQ(set.ranges(i)[g].size(),
+                                  naiveOccurrences(groups[g], sub).size())
+                            << "part " << g << " smem " << sub;
+                }
+            }
+        }
+    }
+    EXPECT_GT(one_member, 50u);
+    EXPECT_GT(no_member, 50u);
+    EXPECT_EQ(with_n, 32u);
+    EXPECT_TRUE(mixed_lengths);
 }
 
 // ---------------------------------------------------------------------

@@ -49,7 +49,9 @@ struct SeederFixture
         for (size_t r = 0; r < 40; ++r) {
             auto read = sim.sample(
                 pangenome.haplotypes[r % pangenome.haplotypes.size()]);
-            read.read.setName("r" + std::to_string(r));
+            std::string name = "r";
+            name += std::to_string(r);
+            read.read.setName(name);
             reads.push_back(std::move(read.read));
         }
     }

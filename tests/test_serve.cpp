@@ -16,6 +16,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -31,6 +32,7 @@
 #include "core/md5.hpp"
 #include "index/gbwt.hpp"
 #include "index/minimizer.hpp"
+#include "obs/metrics.hpp"
 #include "store/store.hpp"
 #include "core/thread_pool.hpp"
 #include "core/timer.hpp"
@@ -940,6 +942,53 @@ TEST(ServeServer, StatusAnswersMetricsSnapshot)
                   std::string::npos);
         EXPECT_NE(status.body.find("serve.requests"),
                   std::string::npos);
+    }
+    server.stop();
+    daemon.join();
+}
+
+TEST(ServeServer, StatusShowsSummedResidencyOfTwoLiveContexts)
+{
+    // The serving context and a second one over the same graph both
+    // hold shard 0 resident: a snapshot names every metric once, the
+    // shard's entry counts both sources, and the status frame shows it.
+    const ServeFixture &fx = serveFixture();
+    const auto before = obs::snapshot();
+    const auto second = pipeline::MappingContext::Builder()
+                            .fromGraph(fx.pangenome.graph)
+                            .build();
+    const auto both = obs::snapshot();
+    std::vector<std::string> names;
+    for (const auto &entry : both.counters)
+        names.push_back(entry.first);
+    for (const auto &entry : both.gauges)
+        names.push_back(entry.first);
+    std::sort(names.begin(), names.end());
+    const auto duplicate = std::adjacent_find(names.begin(), names.end());
+    EXPECT_EQ(duplicate, names.end()) << "duplicate metric " << *duplicate;
+    const uint64_t resident = both.counter("shard.0.resident");
+    EXPECT_EQ(resident, before.counter("shard.0.resident") + 1);
+    EXPECT_GE(resident, 2u);
+
+    const std::string socket_path = socketPathFor("status_two");
+    ::unlink(socket_path.c_str());
+    serve::ServeConfig serve_config;
+    serve_config.socketPath = socket_path;
+    serve_config.maxWaitUs = 500;
+    serve::Server server(fx.context, serve_config);
+    std::thread daemon([&server] { server.run(); });
+    ASSERT_TRUE(server.waitReady(10000));
+    {
+        const serve::Response status =
+            serve::runControl(socket_path, serve::MsgType::kStatus);
+        EXPECT_EQ(status.status, serve::Status::kOk);
+        std::string entry = "\"shard.0.resident\": ";
+        entry += std::to_string(resident);
+        const size_t at = status.body.find(entry);
+        EXPECT_NE(at, std::string::npos) << status.body;
+        EXPECT_EQ(status.body.find("\"shard.0.resident\"", at + 1),
+                  std::string::npos)
+            << status.body;
     }
     server.stop();
     daemon.join();

@@ -83,8 +83,11 @@ struct UnionFixture
                 auto read = sim.sample(
                     pangenome.haplotypes[r %
                                          pangenome.haplotypes.size()]);
-                read.read.setName("c" + std::to_string(c) + "_r" +
-                                  std::to_string(r));
+                std::string name = "c";
+                name += std::to_string(c);
+                name += "_r";
+                name += std::to_string(r);
+                read.read.setName(name);
                 reads.push_back(std::move(read.read));
             }
         }
