@@ -37,7 +37,9 @@ runSide(const graph::PanGraph &graph,
 
     pipeline::MapperConfig config;
     config.profile = pipeline::ToolProfile::kVgMap;
-    pipeline::Seq2GraphMapper mapper(graph, config);
+    const pipeline::Seq2GraphMapper mapper(
+        pipeline::MappingContext::Builder().fromGraph(graph).build(),
+        config);
     const auto traces = mapper.captureAlignTraces(
         reads, smallScale() ? 20 : 60);
 

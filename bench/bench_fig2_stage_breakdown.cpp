@@ -37,16 +37,19 @@ main()
          "paper: chaining heavy; GWFA is 47-75% of it"},
     };
 
+    // One context (with the GBWT giraffe needs) serves every tool.
+    const auto context = pipeline::MappingContext::Builder()
+                             .fromGraph(workload.pangenome.graph)
+                             .buildGbwt(true)
+                             .build();
     std::printf("%-13s %8s %8s %8s %8s | %s\n", "tool", "seed%",
                 "chain%", "filter%", "align%", "kernel share");
     for (const ToolRun &tool : tools) {
         auto config = pipeline::MapperConfig::forTool(tool.profile);
         config.threads = 1;
-        pipeline::Seq2GraphMapper mapper(workload.pangenome.graph,
-                                         config);
         const auto &reads = tool.longReads ? workload.longReads
                                            : workload.shortReads;
-        const auto report = mapper.mapReads(reads);
+        const auto report = pipeline::mapBatch(*context, config, reads);
         const double total = report.timers.total();
         auto pct = [&](const char *stage) {
             return total == 0.0

@@ -87,42 +87,43 @@ main()
                            m.length});
     }
 
+    // A mapping run builds its indexes with t threads inside the timed
+    // region, as the tool itself does, then maps.
+    auto mapRun = [&](pipeline::ToolProfile profile, unsigned t,
+                      std::span<const seq::Sequence> reads) {
+        pipeline::MapperConfig config;
+        config.profile = profile;
+        config.threads = t;
+        const auto context = pipeline::MappingContext::Builder()
+                                 .fromGraph(graph)
+                                 .threads(t)
+                                 .build();
+        pipeline::mapBatch(*context, config, reads);
+    };
+
     const Tool tools[] = {
         {"VgMap", 0.02,
          [&](unsigned t) {
-             pipeline::MapperConfig config;
-             config.profile = pipeline::ToolProfile::kVgMap;
-             config.threads = t;
-             pipeline::Seq2GraphMapper mapper(graph, config);
-             mapper.mapReads(workload.shortReads);
+             mapRun(pipeline::ToolProfile::kVgMap, t,
+                    workload.shortReads);
          }},
         {"GraphAligner", 0.02,
          [&](unsigned t) {
-             pipeline::MapperConfig config;
-             config.profile = pipeline::ToolProfile::kGraphAligner;
-             config.threads = t;
-             pipeline::Seq2GraphMapper mapper(graph, config);
-             mapper.mapReads(workload.longReads);
+             mapRun(pipeline::ToolProfile::kGraphAligner, t,
+                    workload.longReads);
          }},
         {"Minigraph-lr", 0.03,
          [&](unsigned t) {
-             pipeline::MapperConfig config;
-             config.profile = pipeline::ToolProfile::kMinigraph;
-             config.threads = t;
-             pipeline::Seq2GraphMapper mapper(graph, config);
-             mapper.mapReads(workload.longReads);
+             mapRun(pipeline::ToolProfile::kMinigraph, t,
+                    workload.longReads);
          }},
         {"Minigraph-cr", 1.00, // single-threaded (paper §5.1)
          [&](unsigned) {
-             pipeline::MapperConfig config;
-             config.profile = pipeline::ToolProfile::kMinigraph;
-             config.threads = 1;
-             pipeline::Seq2GraphMapper mapper(graph, config);
              std::vector<seq::Sequence> segments;
              const auto &chrom = workload.pangenome.haplotypes[0];
              for (size_t s = 0; s + 10000 <= chrom.size(); s += 10000)
                  segments.push_back(chrom.slice(s, 10000));
-             mapper.mapReads(segments);
+             mapRun(pipeline::ToolProfile::kMinigraph, 1, segments);
          }},
         {"OdgiLayout", 0.12, // sequential path-index preprocessing
          [&](unsigned t) {

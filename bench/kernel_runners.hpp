@@ -57,25 +57,23 @@ captureKernelInputs(const StandardWorkload &w)
 {
     KernelInputs in;
     const auto &graph = w.pangenome.graph;
+    // One context serves the three capturing profiles.
+    const auto context =
+        pipeline::MappingContext::Builder().fromGraph(graph).build();
+    auto mapperFor = [&](pipeline::ToolProfile profile) {
+        pipeline::MapperConfig config;
+        config.profile = profile;
+        return pipeline::Seq2GraphMapper(context, config);
+    };
 
+    in.gssw = mapperFor(pipeline::ToolProfile::kVgMap)
+                  .captureAlignTraces(w.shortReads,
+                                      smallScale() ? 20 : 60);
+    in.gbv = mapperFor(pipeline::ToolProfile::kGraphAligner)
+                 .captureAlignTraces(w.longReads, smallScale() ? 3 : 8);
     {
-        pipeline::MapperConfig config;
-        config.profile = pipeline::ToolProfile::kVgMap;
-        pipeline::Seq2GraphMapper mapper(graph, config);
-        in.gssw = mapper.captureAlignTraces(
-            w.shortReads, smallScale() ? 20 : 60);
-    }
-    {
-        pipeline::MapperConfig config;
-        config.profile = pipeline::ToolProfile::kGraphAligner;
-        pipeline::Seq2GraphMapper mapper(graph, config);
-        in.gbv = mapper.captureAlignTraces(w.longReads,
-                                           smallScale() ? 3 : 8);
-    }
-    {
-        pipeline::MapperConfig config;
-        config.profile = pipeline::ToolProfile::kMinigraph;
-        pipeline::Seq2GraphMapper mapper(graph, config);
+        const auto mapper =
+            mapperFor(pipeline::ToolProfile::kMinigraph);
         in.gwfaLr = mapper.captureGwfaTraces(w.longReads,
                                              smallScale() ? 10 : 40);
         // Chromosome mode: map one whole haplotype in large segments.

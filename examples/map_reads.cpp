@@ -65,18 +65,23 @@ main(int argc, char **argv)
         pipeline::ToolProfile::kGraphAligner,
         pipeline::ToolProfile::kMinigraph,
     };
+    // Index once (with the GBWT giraffe needs); every tool maps on it.
+    const auto context = pipeline::MappingContext::Builder()
+                             .fromGraph(graph)
+                             .threads(core::hardwareThreads())
+                             .buildGbwt(true)
+                             .build();
     std::printf("\n%-13s %8s %8s %10s %10s %10s %10s\n", "tool",
                 "mapped", "total", "seed%", "chain%", "filter%",
                 "align%");
     for (pipeline::ToolProfile tool : tools) {
         auto config = pipeline::MapperConfig::forTool(tool);
         config.threads = core::hardwareThreads();
-        pipeline::Seq2GraphMapper mapper(graph, config);
         const bool long_mode =
             tool == pipeline::ToolProfile::kGraphAligner ||
             tool == pipeline::ToolProfile::kMinigraph;
         const auto &reads = long_mode ? long_reads : short_reads;
-        const auto report = mapper.mapReads(reads);
+        const auto report = pipeline::mapBatch(*context, config, reads);
         const double total = report.timers.total();
         auto pct = [&](const char *stage) {
             return total == 0.0

@@ -44,12 +44,16 @@ main(int argc, char **argv)
         reads.push_back(read.read);
     }
 
-    // 3. Map with the vg map profile (GSSW alignment kernel).
+    // 3. Index the graph once, then map with the vg map profile (GSSW
+    // alignment kernel).
+    const auto context = pipeline::MappingContext::Builder()
+                             .fromGraph(pangenome.graph)
+                             .threads(2)
+                             .build();
     pipeline::MapperConfig config;
     config.profile = pipeline::ToolProfile::kVgMap;
     config.threads = 2;
-    pipeline::Seq2GraphMapper mapper(pangenome.graph, config);
-    const auto report = mapper.mapReads(reads);
+    const auto report = pipeline::mapBatch(*context, config, reads);
     std::printf("mapped %llu/%llu reads\n",
                 static_cast<unsigned long long>(report.mappedReads),
                 static_cast<unsigned long long>(report.reads));
@@ -60,7 +64,8 @@ main(int argc, char **argv)
     }
 
     // 4. One GSSW kernel call on a captured trace.
-    const auto traces = mapper.captureAlignTraces(reads, 1);
+    const auto traces = pipeline::Seq2GraphMapper(context, config)
+                            .captureAlignTraces(reads, 1);
     if (!traces.empty()) {
         const auto result = align::gsswAlign(
             traces[0].subgraph, traces[0].query,

@@ -188,6 +188,16 @@ class FmIndex
     /** Resolve a non-sentinel text position to (path, path offset). */
     PathPos resolve(uint64_t text_pos) const;
 
+    /** Heap bytes derived from the stored arrays at build and load
+     *  (rank blocks, k-mer table, mark rank directory). */
+    uint64_t
+    derivedBytes() const
+    {
+        return blocks_.size() * sizeof(RankBlock) +
+               kmers_.size() * sizeof(KmerBounds) +
+               markRankWords_.size() * sizeof(uint32_t);
+    }
+
     // ---- Persistence views (both modes) ------------------------------
     std::span<const uint8_t> bwtData() const { return bwt_; }
     std::span<const uint32_t> occData() const { return occ_; }

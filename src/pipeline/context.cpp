@@ -1,7 +1,6 @@
 #include "pipeline/context.hpp"
 
 #include "core/logging.hpp"
-#include "pipeline/mapper.hpp"
 
 namespace pgb::pipeline {
 
@@ -103,27 +102,6 @@ MappingContext::Builder::build() const
             GraphSource::open(manifestPath_, seeder_, shardCacheMb_);
     }
     return context;
-}
-
-// ---------------------------------------------------------------------
-// mapBatch
-// ---------------------------------------------------------------------
-
-MappingStats
-mapBatch(const MappingContext &context, const MapperConfig &config,
-         std::span<const seq::Sequence> reads)
-{
-    const Seq2GraphMapper mapper(context, config);
-    return mapper.mapReads(reads);
-}
-
-MappingStats
-mapBatch(const MappingContext &context, const MapperConfig &config,
-         std::span<const seq::Sequence> reads,
-         std::vector<ReadMapping> &mappings)
-{
-    const Seq2GraphMapper mapper(context, config);
-    return mapper.mapReads(reads, &mappings);
 }
 
 } // namespace pgb::pipeline

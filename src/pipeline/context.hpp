@@ -2,15 +2,12 @@
  * @file
  * Immutable mapping context: the build-once half of the mapper API.
  *
- * Historically every Seq2GraphMapper rebuilt the minimizer index (and
- * the GBWT for the giraffe profile) from the graph in its constructor,
- * so each run — each bench iteration, each CLI invocation — paid full
- * index construction. MappingContext splits that cost out: it wraps a
- * GraphSource (source.hpp) — the read side of a pangenome — plus the
- * k/w the indexes were built with, as one const-shareable object.
- * Per-run knobs stay in MapperConfig; mapBatch() maps a batch of reads
- * against a context without mutating it, so one context can serve any
- * number of batches, configs, and threads.
+ * MappingContext wraps a GraphSource (source.hpp) — the read side of
+ * a pangenome — plus the k/w the indexes were built with, as one
+ * const-shareable object. Per-run knobs stay in MapperConfig.
+ * mapBatch() is the one way to map reads: it maps a batch against a
+ * context without mutating it, so one context built once can serve
+ * any number of batches, configs, and threads.
  *
  * All construction goes through MappingContext::Builder — one fluent
  * entry point for the three backing stores:
@@ -142,11 +139,17 @@ class MappingContext::Builder
 };
 
 /**
+ * Fatal unless @p config can map against @p context: config.k/w must
+ * match the context's index parameters, and the giraffe profile needs
+ * a context with a GBWT. mapBatch runs it on every call; `pgb serve`
+ * runs it at start-up and on reload to fail fast.
+ */
+void checkConfig(const MappingContext &context, const MapperConfig &config);
+
+/**
  * Map @p reads against @p context with per-run knobs @p config.
  * Stateless: builds nothing, mutates nothing shared; safe to call
- * concurrently with the same context. config.k/w must match the
- * context's index parameters (fatal otherwise), and the giraffe
- * profile requires a context with a GBWT.
+ * concurrently with the same context. Fatal where checkConfig is.
  */
 MappingStats mapBatch(const MappingContext &context,
                       const MapperConfig &config,

@@ -277,7 +277,12 @@ buildMinigraphCactus(const std::vector<seq::Sequence> &haplotypes,
             config.k = params.k;
             config.w = params.w;
             config.threads = params.threads;
-            Seq2GraphMapper mapper(current, config);
+            const auto context = MappingContext::Builder()
+                                     .fromGraph(current)
+                                     .k(params.k)
+                                     .w(params.w)
+                                     .threads(params.threads)
+                                     .build();
             std::vector<seq::Sequence> segments;
             for (size_t s = 0; s < haplotypes[h].size();
                  s += params.segmentLength) {
@@ -286,7 +291,7 @@ buildMinigraphCactus(const std::vector<seq::Sequence> &haplotypes,
                 if (slice.size() >= static_cast<size_t>(params.k))
                     segments.push_back(std::move(slice));
             }
-            mapper.mapReads(segments);
+            mapBatch(*context, config, segments);
 
             // (b) Variant discovery against the reference backbone.
             const auto &codes = haplotypes[h].codes();

@@ -83,57 +83,80 @@ MapperConfig::forTool(ToolProfile tool)
     return config;
 }
 
-Seq2GraphMapper::Seq2GraphMapper(const graph::PanGraph &graph,
-                                 MapperConfig config)
-    : config_(config)
-{
-    owned_ = MappingContext::Builder()
-                 .fromGraph(graph)
-                 .k(config.k)
-                 .w(config.w)
-                 .threads(config.threads)
-                 .buildGbwt(config.profile == ToolProfile::kVgGiraffe)
-                 .build();
-    context_ = owned_.get();
-    checkContext();
-}
-
-Seq2GraphMapper::Seq2GraphMapper(
-    std::shared_ptr<const MappingContext> context, MapperConfig config)
-    : owned_(std::move(context)), context_(owned_.get()),
-      config_(config)
-{
-    checkContext();
-}
-
-Seq2GraphMapper::Seq2GraphMapper(const MappingContext &context,
-                                 MapperConfig config)
-    : context_(&context), config_(config)
-{
-    checkContext();
-}
-
 void
-Seq2GraphMapper::checkContext() const
+checkConfig(const MappingContext &context, const MapperConfig &config)
 {
-    if (context_ == nullptr)
-        core::fatal("mapper: null mapping context");
-    if (config_.k != context_->k() || config_.w != context_->w()) {
-        core::fatal("mapper: config k/w (", config_.k, "/", config_.w,
+    if (config.k != context.k() || config.w != context.w()) {
+        core::fatal("mapper: config k/w (", config.k, "/", config.w,
                     ") do not match the context's index (",
-                    context_->k(), "/", context_->w(), ")");
+                    context.k(), "/", context.w(), ")");
     }
-    if (config_.profile == ToolProfile::kVgGiraffe &&
-        !context_->hasGbwt()) {
+    if (config.profile == ToolProfile::kVgGiraffe && !context.hasGbwt()) {
         core::fatal("mapper: the giraffe profile needs a GBWT, but "
                     "the mapping context has none (build the context "
                     "with a GBWT or re-run pgb index)");
     }
 }
 
-std::vector<Seq2GraphMapper::AlignTask>
-Seq2GraphMapper::planAlignments(PinSet &pins, const seq::Sequence &read,
-                                MappingStats &stats) const
+namespace {
+
+/**
+ * The Figure 1 pipeline for one config over a context it borrows:
+ * each mapBatch call and each trace capture makes one and drops it
+ * before returning.
+ */
+class ReadPipeline
+{
+  public:
+    struct AlignTask
+    {
+        graph::Handle seedHandle;
+        uint32_t seedOffset = 0;
+        bool reverse = false;
+        /** Query offset (on the aligned strand) of the seed node's
+         *  start; minigraph's query-global GWFA starts here. */
+        uint32_t queryStart = 0;
+        uint64_t linearLo = 0, linearHi = 0;
+    };
+
+    ReadPipeline(const MappingContext &context, const MapperConfig &config)
+        : context_(context), config_(config)
+    {
+    }
+
+    /** Map a batch (thread-parallel over reads); fills @p mappings in
+     *  input order when non-null. */
+    MappingStats mapReads(std::span<const seq::Sequence> reads,
+                          std::vector<ReadMapping> *mappings) const;
+
+    /** Map one read; stage times charged to @p stats. The read pins
+     *  each shard it touches once, for its whole duration. */
+    ReadMapping mapOne(const seq::Sequence &read,
+                       MappingStats &stats) const;
+
+    /** Seed + cluster/chain + filter; emits alignment tasks. Every
+     *  shard the read touches is pinned in @p pins. */
+    std::vector<AlignTask> planAlignments(PinSet &pins,
+                                          const seq::Sequence &read,
+                                          MappingStats &stats) const;
+
+    /** Extraction radius for an alignment task (see contextSteps). */
+    size_t taskRadius(const AlignTask &task, size_t read_length) const;
+
+    /** The read-side source every stage goes through (node ids are
+     *  global; a monolith is a shard set of one). */
+    const GraphSource &source() const { return context_.source(); }
+
+  private:
+    const MappingContext &context_;
+    MapperConfig config_;
+};
+
+} // namespace
+
+std::vector<ReadPipeline::AlignTask>
+ReadPipeline::planAlignments(PinSet &pins, const seq::Sequence &read,
+                             MappingStats &stats) const
 {
     // Per-read planning buffers, one set per thread for the process
     // lifetime (core::threadScratch): anchors and chains are cleared
@@ -152,7 +175,7 @@ Seq2GraphMapper::planAlignments(PinSet &pins, const seq::Sequence &read,
     {
         core::StageTimers::Scope scope(stats.timers, "seed");
         obs::Span span("seed");
-        context_->seeder().collect(pins, read, anchors);
+        context_.seeder().collect(pins, read, anchors);
         stats.anchors += anchors.size();
         obsAnchors.add(anchors.size());
     }
@@ -344,8 +367,7 @@ Seq2GraphMapper::planAlignments(PinSet &pins, const seq::Sequence &read,
 }
 
 size_t
-Seq2GraphMapper::taskRadius(const AlignTask &task,
-                            size_t read_length) const
+ReadPipeline::taskRadius(const AlignTask &task, size_t read_length) const
 {
     if (config_.profile == ToolProfile::kMinigraph) {
         // Minigraph aligns the query-global suffix; span by length.
@@ -356,7 +378,7 @@ Seq2GraphMapper::taskRadius(const AlignTask &task,
     const uint64_t span = task.linearHi > task.linearLo
         ? task.linearHi - task.linearLo : 0;
     const auto context = static_cast<size_t>(
-        config_.contextSteps * context_->avgNodeLength());
+        config_.contextSteps * context_.avgNodeLength());
     const size_t base = std::max<size_t>(
         span / 2, static_cast<size_t>(
                       static_cast<double>(read_length) *
@@ -365,8 +387,7 @@ Seq2GraphMapper::taskRadius(const AlignTask &task,
 }
 
 ReadMapping
-Seq2GraphMapper::mapOne(const seq::Sequence &read,
-                        MappingStats &stats) const
+ReadPipeline::mapOne(const seq::Sequence &read, MappingStats &stats) const
 {
     ReadMapping mapping;
     PinSet pins(source());
@@ -466,14 +487,8 @@ Seq2GraphMapper::mapOne(const seq::Sequence &read,
 }
 
 MappingStats
-Seq2GraphMapper::mapReads(std::span<const seq::Sequence> reads) const
-{
-    return mapReads(reads, nullptr);
-}
-
-MappingStats
-Seq2GraphMapper::mapReads(std::span<const seq::Sequence> reads,
-                          std::vector<ReadMapping> *mappings) const
+ReadPipeline::mapReads(std::span<const seq::Sequence> reads,
+                       std::vector<ReadMapping> *mappings) const
 {
     MappingStats total;
     total.reads = reads.size();
@@ -511,25 +526,52 @@ Seq2GraphMapper::mapReads(std::span<const seq::Sequence> reads,
     return total;
 }
 
+MappingStats
+mapBatch(const MappingContext &context, const MapperConfig &config,
+         std::span<const seq::Sequence> reads)
+{
+    checkConfig(context, config);
+    return ReadPipeline(context, config).mapReads(reads, nullptr);
+}
+
+MappingStats
+mapBatch(const MappingContext &context, const MapperConfig &config,
+         std::span<const seq::Sequence> reads,
+         std::vector<ReadMapping> &mappings)
+{
+    checkConfig(context, config);
+    return ReadPipeline(context, config).mapReads(reads, &mappings);
+}
+
+Seq2GraphMapper::Seq2GraphMapper(
+    std::shared_ptr<const MappingContext> context, MapperConfig config)
+    : context_(std::move(context)), config_(config)
+{
+    if (context_ == nullptr)
+        core::fatal("mapper: null mapping context");
+    checkConfig(*context_, config_);
+}
+
 std::vector<GsswTrace>
 Seq2GraphMapper::captureAlignTraces(std::span<const seq::Sequence> reads,
                                     size_t max_traces) const
 {
+    const ReadPipeline pipeline(*context_, config_);
     std::vector<GsswTrace> traces;
     MappingStats stats;
     for (const seq::Sequence &read : reads) {
         if (traces.size() >= max_traces)
             break;
-        PinSet pins(source());
-        const auto tasks = planAlignments(pins, read, stats);
+        PinSet pins(pipeline.source());
+        const auto tasks = pipeline.planAlignments(pins, read, stats);
         const seq::Sequence rc = read.reverseComplement();
-        for (const AlignTask &task : tasks) {
+        for (const auto &task : tasks) {
             if (traces.size() >= max_traces)
                 break;
             GsswTrace trace;
-            source().extractSubgraph(pins, task.seedHandle,
-                                     taskRadius(task, read.size()),
-                                     trace.subgraph);
+            pipeline.source().extractSubgraph(
+                pins, task.seedHandle,
+                pipeline.taskRadius(task, read.size()), trace.subgraph);
             trace.query = task.reverse ? rc.codes() : read.codes();
             traces.push_back(std::move(trace));
         }
@@ -541,14 +583,14 @@ std::vector<GwfaTrace>
 Seq2GraphMapper::captureGwfaTraces(std::span<const seq::Sequence> reads,
                                    size_t max_traces) const
 {
+    const GraphSource &source = context_->source();
     std::vector<GwfaTrace> traces;
-    MappingStats stats;
     for (const seq::Sequence &read : reads) {
         if (traces.size() >= max_traces)
             break;
-        PinSet pins(source());
+        PinSet pins(source);
         std::vector<Anchor> anchors;
-        source().seeder().collect(pins, read, anchors);
+        source.seeder().collect(pins, read, anchors);
         if (anchors.empty())
             continue;
         ChainParams params;
@@ -568,9 +610,9 @@ Seq2GraphMapper::captureGwfaTraces(std::span<const seq::Sequence> reads,
             if (query_gap < config_.gwfaGapThreshold)
                 continue;
             GwfaTrace trace;
-            source().extractSubgraph(pins, graph::Handle(a.node, false),
-                                     query_gap * 2 + 64, trace.subgraph,
-                                     &trace.startNode);
+            source.extractSubgraph(pins, graph::Handle(a.node, false),
+                                  query_gap * 2 + 64, trace.subgraph,
+                                  &trace.startNode);
             trace.query.assign(
                 codes.begin() + a.queryPos,
                 codes.begin() + std::min<size_t>(b.queryPos,

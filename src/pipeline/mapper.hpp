@@ -3,9 +3,10 @@
  * End-to-end Seq2Graph mapping pipelines (paper Figure 1) and the
  * Seq2Seq baseline.
  *
- * One mapper class drives the four tool profiles the paper analyzes;
- * each profile allocates its effort across the seed / cluster-chain /
- * filter / align stages exactly as the paper characterizes (Figure 2):
+ * One mapping loop, entered through mapBatch() (context.hpp), drives
+ * the four tool profiles the paper analyzes; each profile allocates
+ * its effort across the seed / cluster-chain / filter / align stages
+ * exactly as the paper characterizes (Figure 2):
  *
  *  - VgMap:        effort spread across stages, GSSW alignment
  *  - VgGiraffe:    heavyweight GBWT haplotype filtering, light align
@@ -128,57 +129,24 @@ struct GwfaTrace
 };
 
 /**
- * Seq2Graph mapping pipeline over a pangenome graph.
- *
- * The mapper itself is a thin per-run object: all shared immutable
- * state (graph, indexes, linearization) lives in a MappingContext's
- * GraphSource.
- * The graph+config constructor keeps the historical build-per-mapper
- * behavior; the context constructors map against prebuilt (or
- * artifact-loaded) state without paying index construction.
+ * Trace-capture handle over a shared MappingContext (the paper's
+ * dataset-capture method, §4.2). Mapping itself goes through
+ * mapBatch() (context.hpp), the one entry point; this class only runs
+ * the pipeline up to a kernel and records the kernel's inputs.
  */
 class Seq2GraphMapper
 {
   public:
     /**
-     * Legacy one-shot form: builds a private MappingContext from
-     * @p graph using config.k/w/threads (plus a GBWT for the giraffe
-     * profile). Equivalent to build() + the context constructor.
-     */
-    Seq2GraphMapper(const graph::PanGraph &graph, MapperConfig config);
-
-    /**
-     * Build-once/map-many form: share @p context across runs. The
-     * giraffe profile requires a context carrying a GBWT, and
-     * config.k/w must match the context's index (both fatal()).
+     * Capture against @p context with @p config; fatal on a null
+     * context or on a config checkConfig() rejects.
      */
     Seq2GraphMapper(std::shared_ptr<const MappingContext> context,
                     MapperConfig config);
 
-    /** Non-owning context form (caller keeps @p context alive). */
-    Seq2GraphMapper(const MappingContext &context, MapperConfig config);
-
-    /** Map a batch of reads (thread-parallel over reads). */
-    MappingStats mapReads(std::span<const seq::Sequence> reads) const;
-
-    /**
-     * mapReads, also collecting the per-read outcome: @p mappings is
-     * resized to reads.size() and mappings[i] is read i's result, so
-     * the order is input order at every thread count — the serving
-     * layer's response records and the golden digests rely on that.
-     */
-    MappingStats mapReads(std::span<const seq::Sequence> reads,
-                          std::vector<ReadMapping> *mappings) const;
-
-    /** Map one read; stage times charged to @p stats. The read pins
-     *  each shard it touches once, for its whole duration. */
-    ReadMapping mapOne(const seq::Sequence &read,
-                       MappingStats &stats) const;
-
     /**
      * Run the pipeline up to the alignment stage and record the kernel
-     * inputs instead of aligning (the paper's dataset-capture method,
-     * §4.2): GSSW/GBV subgraph+query traces.
+     * inputs instead of aligning: GSSW/GBV subgraph+query traces.
      */
     std::vector<GsswTrace>
     captureAlignTraces(std::span<const seq::Sequence> reads,
@@ -189,39 +157,8 @@ class Seq2GraphMapper
     captureGwfaTraces(std::span<const seq::Sequence> reads,
                       size_t max_traces) const;
 
-    const MapperConfig &config() const { return config_; }
-    const MappingContext &context() const { return *context_; }
-
   private:
-    struct AlignTask
-    {
-        graph::Handle seedHandle;
-        uint32_t seedOffset = 0;
-        bool reverse = false;
-        /** Query offset (on the aligned strand) of the seed node's
-         *  start; minigraph's query-global GWFA starts here. */
-        uint32_t queryStart = 0;
-        uint64_t linearLo = 0, linearHi = 0;
-    };
-
-    /** Seed + cluster/chain + filter; emits alignment tasks. Every
-     *  shard the read touches is pinned in @p pins. */
-    std::vector<AlignTask> planAlignments(PinSet &pins,
-                                          const seq::Sequence &read,
-                                          MappingStats &stats) const;
-
-    /** Extraction radius for an alignment task (see contextSteps). */
-    size_t taskRadius(const AlignTask &task, size_t read_length) const;
-
-    /** Validate profile/parameter compatibility with the context. */
-    void checkContext() const;
-
-    /** The read-side source every stage goes through (node ids are
-     *  global; a monolith is a shard set of one). */
-    const GraphSource &source() const { return context_->source(); }
-
-    std::shared_ptr<const MappingContext> owned_; ///< may be null
-    const MappingContext *context_;
+    std::shared_ptr<const MappingContext> context_;
     MapperConfig config_;
 };
 

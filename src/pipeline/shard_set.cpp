@@ -135,6 +135,10 @@ LoadedShard::finish()
         fatal("FM-index covers ", fm->pathCount(), " paths, graph has ",
               graph->pathCount());
     stepStarts = pathStepStarts(*graph);
+    // The heap a MEM-seeded shard derives at load is resident too.
+    bytes += fm->derivedBytes();
+    for (const auto &starts : stepStarts)
+        bytes += starts.size() * sizeof(uint64_t);
 }
 
 // ---------------------------------------------------------------------

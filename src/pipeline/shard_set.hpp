@@ -70,7 +70,8 @@ class LoadedShard
     /// plus one trailing total-length entry; filled when fm is set.
     std::vector<std::vector<uint64_t>> stepStarts;
     /// Footprint charged to shard.resident_bytes: the file size of an
-    /// artifact, the index tables' sizes for an in-memory build.
+    /// artifact, the index tables' sizes for an in-memory build, plus
+    /// the FM-index's derived heap and stepStarts when fm is set.
     uint64_t bytes = 0;
 
     /** Global node id of local node @p local. */
@@ -81,7 +82,8 @@ class LoadedShard
     }
 
   private:
-    /** Step starts for MEM seeding; fatal on an FM/graph mismatch. */
+    /** Step starts for MEM seeding, charged to bytes with the
+     *  FM-index's derived heap; fatal on an FM/graph mismatch. */
     void finish();
 
     // ---- The owner: exactly one of artifact_ / the built indexes.

@@ -113,9 +113,8 @@ Server::Server(std::shared_ptr<const pipeline::MappingContext> context,
     mapperConfig_.threads = core::clampThreads(
         config_.threads == 0 ? core::hardwareThreads() : config_.threads);
     // Fail profile/context mismatches (giraffe without a GBWT) at
-    // startup, not on the first batch: the mapper ctor runs the check.
-    pipeline::Seq2GraphMapper probe(*context_, mapperConfig_);
-    (void)probe;
+    // startup, not on the first batch.
+    pipeline::checkConfig(*context_, mapperConfig_);
 }
 
 Server::~Server() { joinReloader(); }
@@ -716,8 +715,8 @@ Server::runReload(std::shared_ptr<Connection> connection, uint64_t id)
             core::fatal("injected fault (serve.reload)");
 
         // Load and fully validate off-thread: the store's own
-        // checksummed load, then geometry/profile validation via a
-        // probe mapper — exactly the constructor's startup checks.
+        // checksummed load, then checkConfig — exactly the
+        // constructor's startup checks.
         const std::string &source_path = config_.shardsPath.empty()
             ? config_.indexPath : config_.shardsPath;
         pipeline::MappingContext::Builder builder;
@@ -736,8 +735,7 @@ Server::runReload(std::shared_ptr<Connection> connection, uint64_t id)
             std::lock_guard<std::mutex> guard(indexLock_);
             freshConfig.threads = mapperConfig_.threads;
         }
-        pipeline::Seq2GraphMapper probe(*fresh, freshConfig);
-        (void)probe;
+        pipeline::checkConfig(*fresh, freshConfig);
 
         {
             std::lock_guard<std::mutex> guard(indexLock_);

@@ -324,13 +324,15 @@ TEST_F(FaultTest, MapReadsPropagatesWorkerFault)
     auto config =
         pipeline::MapperConfig::forTool(pipeline::ToolProfile::kVgMap);
     config.threads = 4;
-    const pipeline::Seq2GraphMapper mapper(pangenome.graph, config);
+    const auto context = pipeline::MappingContext::Builder()
+                             .fromGraph(pangenome.graph)
+                             .build();
 
     core::fault::arm("mapper.read", 5);
-    EXPECT_THROW(mapper.mapReads(reads), FatalError);
+    EXPECT_THROW(pipeline::mapBatch(*context, config, reads), FatalError);
 
-    // Same mapper, disarmed: the batch completes normally.
-    const auto report = mapper.mapReads(reads);
+    // Same context, disarmed: the batch completes normally.
+    const auto report = pipeline::mapBatch(*context, config, reads);
     EXPECT_EQ(report.reads, reads.size());
     EXPECT_GT(report.mappedReads, 0u);
 }

@@ -35,6 +35,7 @@
 #include "seq/read_sim.hpp"
 #include "store/store.hpp"
 #include "synth/pangenome_sim.hpp"
+#include "mapping_digest.hpp"
 #include "temp_path.hpp"
 
 namespace {
@@ -120,24 +121,14 @@ gfaDigest(const graph::PanGraph &graph)
     return core::md5Hex(out.str());
 }
 
-/** Per-read mapping records (serial mapOne for a stable order). */
-std::string
-mappingDigest(const graph::PanGraph &graph,
-              pipeline::ToolProfile tool,
-              const std::vector<seq::Sequence> &reads)
+/** The fixture graph indexed in memory, shared by every test. */
+std::shared_ptr<const pipeline::MappingContext>
+inMemoryContext()
 {
-    auto config = pipeline::MapperConfig::forTool(tool);
-    config.threads = 1;
-    const pipeline::Seq2GraphMapper mapper(graph, config);
-    pipeline::MappingStats stats;
-    std::ostringstream out;
-    for (const seq::Sequence &read : reads) {
-        const auto mapping = mapper.mapOne(read, stats);
-        out << read.name() << '\t' << mapping.mapped << '\t'
-            << mapping.node << '\t' << mapping.score << '\t'
-            << mapping.reverse << '\n';
-    }
-    return core::md5Hex(out.str());
+    static const auto context = pipeline::MappingContext::Builder()
+                                    .fromGraph(fixture().pangenome.graph)
+                                    .build();
+    return context;
 }
 
 /** Compare @p digest against the checked-in golden @p file, or
@@ -211,25 +202,6 @@ artifactContext()
     return context;
 }
 
-/** mappingDigest, but through a loaded artifact context. */
-std::string
-artifactMappingDigest(pipeline::ToolProfile tool,
-                      const std::vector<seq::Sequence> &reads)
-{
-    auto config = pipeline::MapperConfig::forTool(tool);
-    config.threads = 1;
-    const pipeline::Seq2GraphMapper mapper(artifactContext(), config);
-    pipeline::MappingStats stats;
-    std::ostringstream out;
-    for (const seq::Sequence &read : reads) {
-        const auto mapping = mapper.mapOne(read, stats);
-        out << read.name() << '\t' << mapping.mapped << '\t'
-            << mapping.node << '\t' << mapping.score << '\t'
-            << mapping.reverse << '\n';
-    }
-    return core::md5Hex(out.str());
-}
-
 /**
  * The MEM-seeded artifact context: the fixture graph with FM-index
  * sections, loaded back with the mem seeding strategy. Like the
@@ -254,41 +226,20 @@ memArtifactContext()
     return context;
 }
 
-/** mappingDigest through an arbitrary prebuilt context. */
-std::string
-contextMappingDigest(
-    const std::shared_ptr<const pipeline::MappingContext> &context,
-    pipeline::ToolProfile tool,
-    const std::vector<seq::Sequence> &reads)
-{
-    auto config = pipeline::MapperConfig::forTool(tool);
-    config.threads = 1;
-    const pipeline::Seq2GraphMapper mapper(context, config);
-    pipeline::MappingStats stats;
-    std::ostringstream out;
-    for (const seq::Sequence &read : reads) {
-        const auto mapping = mapper.mapOne(read, stats);
-        out << read.name() << '\t' << mapping.mapped << '\t'
-            << mapping.node << '\t' << mapping.score << '\t'
-            << mapping.reverse << '\n';
-    }
-    return core::md5Hex(out.str());
-}
-
 TEST(Golden, ShortReadMappingsMemSeederMatchGolden)
 {
     checkGolden("short_reads_vgmap_mem.md5",
-                contextMappingDigest(memArtifactContext(),
-                                     pipeline::ToolProfile::kVgMap,
-                                     fixture().shortReads));
+                test::mappingDigest(*memArtifactContext(),
+                                    pipeline::ToolProfile::kVgMap,
+                                    fixture().shortReads));
 }
 
 TEST(Golden, LongReadMappingsMemSeederMatchGolden)
 {
     checkGolden("long_reads_minigraph_mem.md5",
-                contextMappingDigest(memArtifactContext(),
-                                     pipeline::ToolProfile::kMinigraph,
-                                     fixture().longReads));
+                test::mappingDigest(*memArtifactContext(),
+                                    pipeline::ToolProfile::kMinigraph,
+                                    fixture().longReads));
 }
 
 TEST(Golden, MemSeederInMemoryBuildMatchesArtifactDigest)
@@ -299,27 +250,27 @@ TEST(Golden, MemSeederInMemoryBuildMatchesArtifactDigest)
                            .fromGraph(fixture().pangenome.graph)
                            .seeder(pipeline::SeederKind::kMem)
                            .build();
-    EXPECT_EQ(contextMappingDigest(built, pipeline::ToolProfile::kVgMap,
-                                   fixture().shortReads),
-              contextMappingDigest(memArtifactContext(),
-                                   pipeline::ToolProfile::kVgMap,
-                                   fixture().shortReads));
+    EXPECT_EQ(test::mappingDigest(*built, pipeline::ToolProfile::kVgMap,
+                                  fixture().shortReads),
+              test::mappingDigest(*memArtifactContext(),
+                                  pipeline::ToolProfile::kVgMap,
+                                  fixture().shortReads));
 }
 
 TEST(Golden, ShortReadMappingsMatchGolden)
 {
     checkGolden("short_reads_vgmap.md5",
-                mappingDigest(fixture().pangenome.graph,
-                              pipeline::ToolProfile::kVgMap,
-                              fixture().shortReads));
+                test::mappingDigest(*inMemoryContext(),
+                                    pipeline::ToolProfile::kVgMap,
+                                    fixture().shortReads));
 }
 
 TEST(Golden, LongReadMappingsMatchGolden)
 {
     checkGolden("long_reads_minigraph.md5",
-                mappingDigest(fixture().pangenome.graph,
-                              pipeline::ToolProfile::kMinigraph,
-                              fixture().longReads));
+                test::mappingDigest(*inMemoryContext(),
+                                    pipeline::ToolProfile::kMinigraph,
+                                    fixture().longReads));
 }
 
 TEST(Golden, ShortReadMappingsViaArtifactMatchGolden)
@@ -327,28 +278,28 @@ TEST(Golden, ShortReadMappingsViaArtifactMatchGolden)
     // The .pgbi round trip is invisible to the mapper: the same
     // golden digest as the in-memory ShortReadMappingsMatchGolden.
     checkGolden("short_reads_vgmap.md5",
-                artifactMappingDigest(pipeline::ToolProfile::kVgMap,
-                                      fixture().shortReads));
+                test::mappingDigest(*artifactContext(),
+                                    pipeline::ToolProfile::kVgMap,
+                                    fixture().shortReads));
 }
 
 TEST(Golden, LongReadMappingsViaArtifactMatchGolden)
 {
     checkGolden("long_reads_minigraph.md5",
-                artifactMappingDigest(
-                    pipeline::ToolProfile::kMinigraph,
-                    fixture().longReads));
+                test::mappingDigest(*artifactContext(),
+                                    pipeline::ToolProfile::kMinigraph,
+                                    fixture().longReads));
 }
 
 TEST(Golden, MapBatchViaArtifactAggregatesMatchInMemory)
 {
-    // The stateless batch entry point over a loaded artifact agrees
-    // with the in-memory mapper's aggregates.
+    // A batch over a loaded artifact agrees with a batch over the
+    // in-memory build on every aggregate.
     auto config =
         pipeline::MapperConfig::forTool(pipeline::ToolProfile::kVgMap);
     config.threads = 2;
-    const pipeline::Seq2GraphMapper inMemory(fixture().pangenome.graph,
-                                             config);
-    const auto direct = inMemory.mapReads(fixture().shortReads);
+    const auto direct = pipeline::mapBatch(*inMemoryContext(), config,
+                                           fixture().shortReads);
     const auto batched = pipeline::mapBatch(*artifactContext(), config,
                                             fixture().shortReads);
     EXPECT_EQ(direct.mappedReads, batched.mappedReads);
@@ -362,13 +313,11 @@ TEST(Golden, ParallelMapReadsAggregatesAreThreadCountInvariant)
     auto config =
         pipeline::MapperConfig::forTool(pipeline::ToolProfile::kVgMap);
     config.threads = 1;
-    const pipeline::Seq2GraphMapper serial(fixture().pangenome.graph,
-                                           config);
+    const auto one = pipeline::mapBatch(*inMemoryContext(), config,
+                                        fixture().shortReads);
     config.threads = 8;
-    const pipeline::Seq2GraphMapper wide(fixture().pangenome.graph,
-                                         config);
-    const auto one = serial.mapReads(fixture().shortReads);
-    const auto eight = wide.mapReads(fixture().shortReads);
+    const auto eight = pipeline::mapBatch(*inMemoryContext(), config,
+                                          fixture().shortReads);
     EXPECT_EQ(one.mappedReads, eight.mappedReads);
     EXPECT_EQ(one.anchors, eight.anchors);
     EXPECT_EQ(one.clusters, eight.clusters);

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/logging.hpp"
 #include "core/thread_pool.hpp"
 #include "pipeline/chain.hpp"
 #include "pipeline/graph_build.hpp"
@@ -15,7 +16,9 @@
 #include "pipeline/scaling.hpp"
 #include "pipeline/wfmash.hpp"
 #include "seq/read_sim.hpp"
+#include "store/store.hpp"
 #include "synth/pangenome_sim.hpp"
+#include "temp_path.hpp"
 
 namespace pgb::pipeline {
 namespace {
@@ -56,6 +59,16 @@ makeWorkload(size_t base_length, size_t n_reads, size_t read_length,
         w.reads.push_back(std::move(read.read));
     }
     return w;
+}
+
+/** Indexes over @p w's graph, with a GBWT when giraffe maps on it. */
+std::shared_ptr<const MappingContext>
+contextFor(const Workload &w, bool gbwt = false)
+{
+    return MappingContext::Builder()
+        .fromGraph(w.pangenome.graph)
+        .buildGbwt(gbwt)
+        .build();
 }
 
 // ------------------------------------------------------- Chaining
@@ -124,8 +137,9 @@ TEST_P(MapperProfiles, MapsSimulatedShortReads)
     MapperConfig config;
     config.profile = profile;
     config.threads = 2;
-    Seq2GraphMapper mapper(w.pangenome.graph, config);
-    const auto stats = mapper.mapReads(w.reads);
+    const auto stats = mapBatch(
+        *contextFor(w, profile == ToolProfile::kVgGiraffe), config,
+        w.reads);
     EXPECT_EQ(stats.reads, w.reads.size());
     // Simulated reads come from the graph's own haplotypes: the vast
     // majority must map.
@@ -151,8 +165,7 @@ TEST(Mapper, GiraffeChargesKernelTimeToFilter)
     const auto w = makeWorkload(30000, 20, 150, 202);
     MapperConfig config;
     config.profile = ToolProfile::kVgGiraffe;
-    Seq2GraphMapper mapper(w.pangenome.graph, config);
-    const auto stats = mapper.mapReads(w.reads);
+    const auto stats = mapBatch(*contextFor(w, true), config, w.reads);
     EXPECT_STREQ(stats.kernelName, "GBWT");
     EXPECT_GT(stats.timers.seconds("filter"), 0.0);
 }
@@ -162,8 +175,7 @@ TEST(Mapper, MinigraphUsesGwfaInChaining)
     const auto w = makeWorkload(30000, 10, 1200, 203);
     MapperConfig config;
     config.profile = ToolProfile::kMinigraph;
-    Seq2GraphMapper mapper(w.pangenome.graph, config);
-    const auto stats = mapper.mapReads(w.reads);
+    const auto stats = mapBatch(*contextFor(w), config, w.reads);
     EXPECT_STREQ(stats.kernelName, "GWFA");
     EXPECT_GT(stats.kernelSeconds, 0.0);
     EXPECT_LE(stats.kernelSeconds,
@@ -179,8 +191,7 @@ TEST(Mapper, RandomReadsDoNotMap)
         junk.push_back(synth::randomSequence(150, 999 + i));
     MapperConfig config;
     config.profile = ToolProfile::kVgMap;
-    Seq2GraphMapper mapper(w.pangenome.graph, config);
-    const auto stats = mapper.mapReads(junk);
+    const auto stats = mapBatch(*contextFor(w), config, junk);
     EXPECT_LE(stats.mappedReads, 1u);
 }
 
@@ -189,7 +200,7 @@ TEST(Mapper, CapturesAlignTraces)
     const auto w = makeWorkload(30000, 10, 150, 205);
     MapperConfig config;
     config.profile = ToolProfile::kVgMap;
-    Seq2GraphMapper mapper(w.pangenome.graph, config);
+    const Seq2GraphMapper mapper(contextFor(w), config);
     const auto traces = mapper.captureAlignTraces(w.reads, 5);
     ASSERT_GE(traces.size(), 3u);
     for (const auto &trace : traces) {
@@ -204,13 +215,71 @@ TEST(Mapper, CapturesGwfaTraces)
     const auto w = makeWorkload(40000, 10, 2000, 206);
     MapperConfig config;
     config.profile = ToolProfile::kMinigraph;
-    Seq2GraphMapper mapper(w.pangenome.graph, config);
+    const Seq2GraphMapper mapper(contextFor(w), config);
     const auto traces = mapper.captureGwfaTraces(w.reads, 8);
     for (const auto &trace : traces) {
         EXPECT_GT(trace.subgraph.nodeCount(), 0u);
         EXPECT_LT(trace.startNode, trace.subgraph.nodeCount());
         EXPECT_FALSE(trace.query.empty());
     }
+}
+
+// ------------------------------------------------ Config validation
+
+TEST(Mapper, MapBatchRejectsAConfigWhoseKwDifferFromTheContext)
+{
+    const auto w = makeWorkload(20000, 4, 150, 216);
+    const auto context = contextFor(w);
+    MapperConfig config;
+    config.k = context->k() + 2;
+    try {
+        mapBatch(*context, config, w.reads);
+        FAIL() << "a k mismatch must be fatal";
+    } catch (const core::FatalError &error) {
+        EXPECT_NE(std::string(error.what()).find("do not match"),
+                  std::string::npos)
+            << error.what();
+    }
+    config.k = context->k();
+    config.w = context->w() + 1;
+    EXPECT_THROW(mapBatch(*context, config, w.reads), core::FatalError);
+}
+
+TEST(Mapper, GiraffeNeedsAGbwtInAnInMemoryContext)
+{
+    const auto w = makeWorkload(20000, 4, 150, 217);
+    const auto config = MapperConfig::forTool(ToolProfile::kVgGiraffe);
+    try {
+        mapBatch(*contextFor(w), config, w.reads);
+        FAIL() << "giraffe without a GBWT must be fatal";
+    } catch (const core::FatalError &error) {
+        EXPECT_NE(std::string(error.what()).find("needs a GBWT"),
+                  std::string::npos)
+            << error.what();
+    }
+    EXPECT_EQ(mapBatch(*contextFor(w, true), config, w.reads).reads,
+              w.reads.size());
+}
+
+TEST(Mapper, GiraffeNeedsAGbwtInAnArtifact)
+{
+    const auto w = makeWorkload(20000, 4, 150, 218);
+    const std::string path = test::testTempPath("mapper_no_gbwt.pgbi");
+    store::writeArtifact(path, w.pangenome.graph,
+                         index::MinimizerIndex(w.pangenome.graph, 15, 10),
+                         nullptr);
+    const auto context =
+        MappingContext::Builder().fromArtifact(path).build();
+    ASSERT_FALSE(context->hasGbwt());
+    EXPECT_THROW(mapBatch(*context,
+                          MapperConfig::forTool(ToolProfile::kVgGiraffe),
+                          w.reads),
+                 core::FatalError);
+    // The vg map profile needs no GBWT and maps over the same context.
+    EXPECT_EQ(mapBatch(*context, MapperConfig::forTool(ToolProfile::kVgMap),
+                       w.reads)
+                  .reads,
+              w.reads.size());
 }
 
 TEST(Seq2Seq, BaselineMapsReadsFromReference)
@@ -369,23 +438,18 @@ TEST(Mapper, ForToolEncodesTradeoffs)
 TEST(Mapper, GiraffeIsCheaperThanVgMapOnTheSameReads)
 {
     const auto w = makeWorkload(30000, 40, 150, 215);
+    // Both profiles share one context built before either timer, so
+    // the timings compare mapping only. Giraffe's mapping phase is the
+    // cheap one (Table 1's ordering); the bound stays loose for noisy
+    // hosts: giraffe must not be dramatically slower.
+    const auto context = contextFor(w, true);
     core::WallTimer vgmap_timer;
-    {
-        auto config = MapperConfig::forTool(ToolProfile::kVgMap);
-        Seq2GraphMapper mapper(w.pangenome.graph, config);
-        mapper.mapReads(w.reads);
-    }
+    mapBatch(*context, MapperConfig::forTool(ToolProfile::kVgMap),
+             w.reads);
     const double vgmap_seconds = vgmap_timer.seconds();
     core::WallTimer giraffe_timer;
-    {
-        auto config = MapperConfig::forTool(ToolProfile::kVgGiraffe);
-        Seq2GraphMapper mapper(w.pangenome.graph, config);
-        mapper.mapReads(w.reads);
-    }
-    // Giraffe's mapping phase is the cheap one (Table 1's ordering).
-    // Index construction is excluded from both timings... it is
-    // included here; giraffe builds a GBWT, so compare mapping only
-    // loosely: giraffe must not be dramatically slower.
+    mapBatch(*context, MapperConfig::forTool(ToolProfile::kVgGiraffe),
+             w.reads);
     EXPECT_LT(giraffe_timer.seconds(), vgmap_seconds * 3.0);
 }
 

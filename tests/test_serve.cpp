@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "core/fault.hpp"
+#include "core/logging.hpp"
 #include "core/md5.hpp"
 #include "index/gbwt.hpp"
 #include "index/minimizer.hpp"
@@ -1103,6 +1104,66 @@ TEST(ServeServer, FailedReloadKeepsServingOldIndex)
         EXPECT_EQ(ok.status, serve::Status::kOk);
     }
     core::fault::disarmAll();
+    server.stop();
+    daemon.join();
+    EXPECT_EQ(server.totals().reloadsFailed, 1u);
+    EXPECT_EQ(server.totals().reloadsOk, 0u);
+}
+
+TEST(ServeServer, GiraffeOverAContextWithoutGbwtFailsAtConstruction)
+{
+    const auto context = pipeline::MappingContext::Builder()
+                             .fromGraph(serveFixture().pangenome.graph)
+                             .build();
+    serve::ServeConfig serve_config;
+    serve_config.socketPath = socketPathFor("nogbwt");
+    serve_config.profile = pipeline::ToolProfile::kVgGiraffe;
+    EXPECT_THROW(serve::Server(context, serve_config), core::FatalError);
+}
+
+TEST(ServeServer, GiraffeReloadToAnArtifactWithoutGbwtKeepsOldIndex)
+{
+    // Reload validates the fresh index as start-up does: a giraffe
+    // daemon refuses an artifact without a GBWT and keeps serving.
+    const ServeFixture &fx = serveFixture();
+    const std::string path =
+        test::testTempPath("pgb_serve_reload_nogbwt.pgbi");
+    const index::MinimizerIndex minimizers(fx.pangenome.graph, 15, 10, 1);
+    const index::GbwtIndex gbwt(fx.pangenome.graph, true, 1);
+    store::writeArtifact(path, fx.pangenome.graph, minimizers, &gbwt);
+    const auto context =
+        pipeline::MappingContext::Builder().fromArtifact(path).build();
+    // Replace the file (atomic rename): the served context keeps the
+    // old mapping, the next reload reads the GBWT-less artifact.
+    store::writeArtifact(path, fx.pangenome.graph, minimizers, nullptr);
+
+    const std::string socket_path = socketPathFor("reloadnogbwt");
+    ::unlink(socket_path.c_str());
+    serve::ServeConfig serve_config;
+    serve_config.socketPath = socket_path;
+    serve_config.maxWaitUs = 500;
+    serve_config.indexPath = path;
+    serve_config.profile = pipeline::ToolProfile::kVgGiraffe;
+    serve::Server server(context, serve_config);
+    std::thread daemon([&server] { server.run(); });
+    ASSERT_TRUE(server.waitReady(10000));
+    {
+        TestClient client(socket_path);
+        client.send(serve::encodeControl(serve::MsgType::kReload, 1));
+        const serve::Response failed = client.awaitResponse();
+        EXPECT_EQ(failed.id, 1u);
+        EXPECT_EQ(failed.status, serve::Status::kError);
+        EXPECT_NE(failed.body.find("needs a GBWT"), std::string::npos)
+            << failed.body;
+
+        serve::Request request;
+        request.id = 2;
+        request.fastq = fastqText(fx.reads, 0, 1);
+        client.send(serve::encodeRequest(request));
+        const serve::Response ok = client.awaitResponse();
+        EXPECT_EQ(ok.id, 2u);
+        EXPECT_EQ(ok.status, serve::Status::kOk);
+    }
     server.stop();
     daemon.join();
     EXPECT_EQ(server.totals().reloadsFailed, 1u);
