@@ -57,10 +57,7 @@ main()
         };
         // The kernel's share of its own stage (the yellow arc).
         const char *kernel_stage =
-            tool.profile == pipeline::ToolProfile::kVgGiraffe
-                ? "filter"
-                : (tool.profile == pipeline::ToolProfile::kMinigraph
-                       ? "cluster_chain" : "align");
+            core::stageName(pipeline::kernelOf(tool.profile).stage);
         const double stage_secs = report.timers.seconds(kernel_stage);
         const double kernel_share = stage_secs == 0.0
             ? 0.0 : 100.0 * report.kernelSeconds / stage_secs;

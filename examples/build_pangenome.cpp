@@ -66,8 +66,7 @@ main(int argc, char **argv)
                     return total;
                 }());
     for (const auto &[stage, seconds] : report.timers.stages()) {
-        std::printf("  stage %-14s %8.1f ms\n", stage.c_str(),
-                    seconds * 1e3);
+        std::printf("  stage %-14s %8.1f ms\n", stage, seconds * 1e3);
     }
     std::printf("layout stress %.3f -> %.3f\n",
                 report.layoutStressBefore, report.layoutStressAfter);

@@ -58,7 +58,7 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(report.mappedReads),
                 static_cast<unsigned long long>(report.reads));
     for (const auto &[stage, seconds] : report.timers.stages()) {
-        std::printf("  stage %-13s %8.3f ms (%4.1f%%)\n", stage.c_str(),
+        std::printf("  stage %-13s %8.3f ms (%4.1f%%)\n", stage,
                     seconds * 1e3, 100.0 * seconds /
                     report.timers.total());
     }

@@ -7,7 +7,9 @@
 # metrics JSON with nonzero scheduler counters and per-site fault hit
 # counts plus a trace with the pipeline's stage spans; a MEM-seeded
 # `pgb map --metrics` must report the seed.* counters, FM-index
-# backward-extension steps (seed.fm_steps) included. PGB_THREADS is
+# backward-extension steps (seed.fm_steps) included, and a sample in
+# each of the four mapper.stage_nanos.<stage> histograms (vg map enters
+# every stage: seed, cluster_chain, filter, align). PGB_THREADS is
 # forced so the pool spawns workers even on single-core CI runners
 # (otherwise tasks_spawned is legitimately zero and proves nothing).
 #
@@ -111,5 +113,11 @@ if "seed.dropped_repetitive" not in counters:
     print("metrics_smoke: FAIL: seed.dropped_repetitive missing",
           file=sys.stderr)
     sys.exit(1)
+for stage in ("seed", "cluster_chain", "filter", "align"):
+    name = "mapper.stage_nanos.%s.count" % stage
+    if counters.get(name, 0) <= 0:
+        print("metrics_smoke: FAIL: %s = %r after a vgmap map"
+              % (name, counters.get(name)), file=sys.stderr)
+        sys.exit(1)
 print("metrics_smoke: OK (seed.fm_steps = %d)" % counters["seed.fm_steps"])
 EOF

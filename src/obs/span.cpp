@@ -4,7 +4,7 @@
 #include <mutex>
 #include <sstream>
 
-#include "core/timer.hpp"
+#include "obs/histogram.hpp"
 
 namespace pgb::obs {
 
@@ -25,6 +25,14 @@ appendMicros(std::ostream &out, uint64_t nanos)
         << static_cast<char>('0' + frac / 10 % 10)
         << static_cast<char>('0' + frac % 10);
 }
+
+/** One sample per mapping-stage scope; Figure 3's stages have none. */
+Histogram stageNanos[] = {
+    Histogram("mapper.stage_nanos.seed"),
+    Histogram("mapper.stage_nanos.cluster_chain"),
+    Histogram("mapper.stage_nanos.filter"),
+    Histogram("mapper.stage_nanos.align"),
+};
 
 /** Spans dropped on buffer overflow, across all threads. */
 std::atomic<uint64_t> droppedSpans{0};
@@ -94,10 +102,10 @@ enableTracing(bool on)
 }
 
 void
-Span::open(const char *name)
+Span::open(const char *name, uint64_t startNanos)
 {
     ThreadTrace &trace = localTrace();
-    startNanos_ = core::monotonicNanos();
+    startNanos_ = startNanos;
     std::lock_guard<std::mutex> guard(trace.lock);
     if (trace.events.size() >= ThreadTrace::kMaxEventsPerThread) {
         droppedSpans.fetch_add(1, std::memory_order_relaxed);
@@ -118,16 +126,30 @@ Span::open(const char *name)
 }
 
 void
-Span::close()
+Span::close(uint64_t endNanos)
 {
+    live_ = false;
     ThreadTrace &trace = localTrace();
-    const uint64_t end = core::monotonicNanos();
     std::lock_guard<std::mutex> guard(trace.lock);
     // A clearTrace() between open and close invalidated the slot.
     if (trace.generation != generation_)
         return;
-    trace.events[slot_].durationNanos = end - startNanos_;
+    trace.events[slot_].durationNanos = endNanos - startNanos_;
     trace.stack.pop_back();
+}
+
+StageClock::~StageClock()
+{
+    const uint64_t end = core::monotonicNanos();
+    if (span_.live_)
+        span_.close(end);
+    const uint64_t nanos = end - startNanos_;
+    if (static_cast<size_t>(stage_) < std::size(stageNanos))
+        stageNanos[static_cast<size_t>(stage_)].record(nanos);
+    const double seconds = static_cast<double>(nanos) * 1e-9;
+    times_.add(stage_, seconds);
+    if (kernelSeconds_ != nullptr)
+        *kernelSeconds_ += seconds;
 }
 
 std::vector<SpanEvent>

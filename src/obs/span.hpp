@@ -32,6 +32,8 @@
 #include <string>
 #include <vector>
 
+#include "core/timer.hpp"
+
 namespace pgb::obs {
 
 namespace detail {
@@ -68,26 +70,58 @@ class Span
     explicit Span(const char *name)
     {
         if (tracingOn())
-            open(name);
+            open(name, core::monotonicNanos());
     }
 
     ~Span()
     {
         if (live_)
-            close();
+            close(core::monotonicNanos());
     }
 
     Span(const Span &) = delete;
     Span &operator=(const Span &) = delete;
 
   private:
-    void open(const char *name);
-    void close();
+    friend class StageClock; // opens and closes with its own clock reads
+    Span() = default;
+
+    void open(const char *name, uint64_t startNanos);
+    void close(uint64_t endNanos);
 
     bool live_ = false;
     uint32_t generation_ = 0; ///< buffer generation at open time
     uint32_t slot_ = 0;
     uint64_t startNanos_ = 0;
+};
+
+/**
+ * The one stage clock: an RAII scope that reads the monotonic clock at
+ * open and at close and charges that interval to @p stage's slot in
+ * @p times, to the stage's span when tracing is armed, to the
+ * `mapper.stage_nanos.<stage>` histogram for the mapper's four stages,
+ * and to @p kernelSeconds when the scope holds the profile's kernel.
+ */
+class StageClock
+{
+  public:
+    StageClock(core::StageTimes &times, core::Stage stage,
+               double *kernelSeconds = nullptr)
+        : times_(times), kernelSeconds_(kernelSeconds), stage_(stage),
+          startNanos_(core::monotonicNanos())
+    {
+        if (tracingOn())
+            span_.open(core::stageName(stage), startNanos_);
+    }
+
+    ~StageClock();
+
+  private:
+    core::StageTimes &times_;
+    double *kernelSeconds_;
+    core::Stage stage_;
+    uint64_t startNanos_;
+    Span span_;
 };
 
 /** Copy of every recorded event, grouped by thread, recording order. */

@@ -23,8 +23,7 @@ runVisualization(const graph::PanGraph &graph, uint32_t iterations,
                  unsigned threads, uint64_t seed,
                  GraphBuildReport &report)
 {
-    core::StageTimers::Scope scope(report.timers, "visualization");
-    obs::Span span("visualization");
+    obs::StageClock clock(report.timers, core::Stage::kVisualization);
     layout::PathIndex index(graph);
     layout::Layout layout(graph.nodeCount(), seed);
     layout::PgsgdParams params;
@@ -156,8 +155,7 @@ buildPggb(const std::vector<seq::Sequence> &haplotypes,
     // ---- 1. Alignment: all-to-all wfmash stand-in.
     WfmashResult aligned;
     {
-        core::StageTimers::Scope scope(report.timers, "alignment");
-        obs::Span span("alignment");
+        obs::StageClock clock(report.timers, core::Stage::kAlignment);
         WfmashParams wfmash = params.wfmash;
         wfmash.threads = params.threads;
         aligned = allToAllAlign(catalog, wfmash);
@@ -166,8 +164,7 @@ buildPggb(const std::vector<seq::Sequence> &haplotypes,
 
     // ---- 2. Induction: seqwish transclosure (parallel sweep).
     {
-        core::StageTimers::Scope scope(report.timers, "induction");
-        obs::Span span("induction");
+        obs::StageClock clock(report.timers, core::Stage::kInduction);
         build::TcOptions tc_options;
         tc_options.threads = params.threads;
         auto tc = build::transclose(catalog, aligned.matches,
@@ -183,8 +180,7 @@ buildPggb(const std::vector<seq::Sequence> &haplotypes,
     // cell counts reduce in window order so the total is identical at
     // every thread count.
     {
-        core::StageTimers::Scope scope(report.timers, "polishing");
-        obs::Span span("polishing");
+        obs::StageClock clock(report.timers, core::Stage::kPolishing);
         std::vector<seq::Sequence> spelled(report.graph.pathCount());
         core::parallelFor(
             0, report.graph.pathCount(), params.threads,
@@ -257,8 +253,7 @@ buildMinigraphCactus(const std::vector<seq::Sequence> &haplotypes,
     // against the growing graph (chromosome mode: big segments, GWFA
     // in the chaining stage).
     {
-        core::StageTimers::Scope scope(report.timers, "alignment");
-        obs::Span span("alignment");
+        obs::StageClock clock(report.timers, core::Stage::kAlignment);
 
         // Reference minimizer table for variant extraction.
         std::unordered_map<uint64_t, std::vector<uint32_t>> ref_table;
@@ -387,8 +382,7 @@ buildMinigraphCactus(const std::vector<seq::Sequence> &haplotypes,
     // independent, so they align on the pool; per-variant cell counts
     // reduce in variant order for a thread-count-invariant total.
     {
-        core::StageTimers::Scope scope(report.timers, "induction");
-        obs::Span span("induction");
+        obs::StageClock clock(report.timers, core::Stage::kInduction);
         std::vector<uint64_t> variant_cells(variants.size(), 0);
         core::parallelFor(
             0, variants.size(), params.threads,
@@ -410,8 +404,7 @@ buildMinigraphCactus(const std::vector<seq::Sequence> &haplotypes,
     // ---- 3. Polishing: GFAffix-like cleanup — drop no-op variants
     // whose alt spells the reference interval.
     {
-        core::StageTimers::Scope scope(report.timers, "polishing");
-        obs::Span span("polishing");
+        obs::StageClock clock(report.timers, core::Stage::kPolishing);
         variants.erase(
             std::remove_if(
                 variants.begin(), variants.end(),

@@ -11,8 +11,9 @@
  *                   polishing (redundant-allele collapse) -> PGSGD
  *                   visualization.
  *
- * Every stage is wall-clock timed into StageTimers under the paper's
- * stage names: "alignment", "induction", "polishing", "visualization".
+ * Every stage is timed by one obs::StageClock scope into the report's
+ * StageTimes, and traced as a span, under the paper's stage names:
+ * "alignment", "induction", "polishing", "visualization".
  */
 
 #ifndef PGB_PIPELINE_GRAPH_BUILD_HPP
@@ -32,7 +33,7 @@ namespace pgb::pipeline {
 struct GraphBuildReport
 {
     graph::PanGraph graph;
-    core::StageTimers timers;
+    core::StageTimes timers;
     double layoutStressBefore = 0.0;
     double layoutStressAfter = 0.0;
     uint64_t matches = 0;         ///< pairwise matches aligned

@@ -1,7 +1,6 @@
 #include "pipeline/mapper.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <mutex>
 
 #include "align/gbv.hpp"
@@ -57,6 +56,19 @@ toolName(ToolProfile profile)
       case ToolProfile::kMinigraph: return "Minigraph";
     }
     return "?";
+}
+
+KernelInfo
+kernelOf(ToolProfile profile)
+{
+    switch (profile) {
+      case ToolProfile::kVgMap: return {"GSSW", core::Stage::kAlign};
+      case ToolProfile::kVgGiraffe: return {"GBWT", core::Stage::kFilter};
+      case ToolProfile::kGraphAligner: return {"GBV", core::Stage::kAlign};
+      case ToolProfile::kMinigraph:
+        return {"GWFA", core::Stage::kClusterChain};
+    }
+    return {"?", core::Stage::kAlign};
 }
 
 MapperConfig
@@ -147,6 +159,14 @@ class ReadPipeline
      *  global; a monolith is a shard set of one). */
     const GraphSource &source() const { return context_.source(); }
 
+    /** The kernel share a @p stage scope charges, if it has one. */
+    double *
+    kernelShare(MappingStats &stats, core::Stage stage) const
+    {
+        return kernelOf(config_.profile).stage == stage
+            ? &stats.kernelSeconds : nullptr;
+    }
+
   private:
     const MappingContext &context_;
     MapperConfig config_;
@@ -173,8 +193,7 @@ ReadPipeline::planAlignments(PinSet &pins, const seq::Sequence &read,
     // ---- Seeding.
     std::vector<Anchor> &anchors = ws.anchors;
     {
-        core::StageTimers::Scope scope(stats.timers, "seed");
-        obs::Span span("seed");
+        obs::StageClock clock(stats.timers, core::Stage::kSeed);
         context_.seeder().collect(pins, read, anchors);
         stats.anchors += anchors.size();
         obsAnchors.add(anchors.size());
@@ -185,8 +204,7 @@ ReadPipeline::planAlignments(PinSet &pins, const seq::Sequence &read,
     // ---- Clustering / chaining.
     std::vector<AnchorChain> &chains = ws.chains;
     {
-        core::StageTimers::Scope scope(stats.timers, "cluster_chain");
-        obs::Span span("cluster_chain");
+        obs::StageClock clock(stats.timers, core::Stage::kClusterChain);
         switch (config_.profile) {
           case ToolProfile::kMinigraph: {
             ChainParams params;
@@ -218,9 +236,8 @@ ReadPipeline::planAlignments(PinSet &pins, const seq::Sequence &read,
     // Minigraph: GWFA gap bridging inside the chaining stage (the
     // extracted kernel; paper: 47-75% of cluster/chain time).
     if (config_.profile == ToolProfile::kMinigraph) {
-        core::StageTimers::Scope scope(stats.timers, "cluster_chain");
-        obs::Span span("cluster_chain");
-        core::WallTimer kernel_timer;
+        obs::StageClock clock(stats.timers, core::Stage::kClusterChain,
+                              &stats.kernelSeconds);
         AlignScratch &scratch = core::threadScratch<AlignScratch>();
         const AnchorChain &best = chains.front();
         const auto &codes = read.codes();
@@ -258,16 +275,13 @@ ReadPipeline::planAlignments(PinSet &pins, const seq::Sequence &read,
                              static_cast<int32_t>(query_gap),
                              a.nodeOffset);
         }
-        stats.kernelSeconds += kernel_timer.seconds();
-        stats.kernelName = "GWFA";
     }
 
     // ---- Filtering (giraffe: GBWT haplotype-consistent extension).
     std::vector<AlignTask> tasks;
     {
-        core::StageTimers::Scope scope(stats.timers, "filter");
-        obs::Span span("filter");
-        core::WallTimer kernel_timer;
+        obs::StageClock clock(stats.timers, core::Stage::kFilter,
+                              kernelShare(stats, core::Stage::kFilter));
         size_t taken = 0;
         for (const AnchorChain &chain : chains) {
             if (taken >= config_.maxAlignments)
@@ -358,10 +372,6 @@ ReadPipeline::planAlignments(PinSet &pins, const seq::Sequence &read,
             tasks.push_back(task);
             ++taken;
         }
-        if (config_.profile == ToolProfile::kVgGiraffe) {
-            stats.kernelSeconds += kernel_timer.seconds();
-            stats.kernelName = "GBWT";
-        }
     }
     return tasks;
 }
@@ -400,9 +410,8 @@ ReadPipeline::mapOne(const seq::Sequence &read, MappingStats &stats) const
     seq::reverseComplementInto(read.codes(), scratch.reverseQuery);
     graph::LocalGraph &sub = scratch.subgraph;
 
-    core::StageTimers::Scope scope(stats.timers, "align");
-    obs::Span span("align");
-    core::WallTimer kernel_timer;
+    obs::StageClock clock(stats.timers, core::Stage::kAlign,
+                          kernelShare(stats, core::Stage::kAlign));
     for (const AlignTask &task : tasks) {
         ++stats.alignments;
         obsAlignments.add();
@@ -466,18 +475,6 @@ ReadPipeline::mapOne(const seq::Sequence &read, MappingStats &stats) const
             mapping.mapped = true;
         }
     }
-    switch (config_.profile) {
-      case ToolProfile::kVgMap:
-        stats.kernelSeconds += kernel_timer.seconds();
-        stats.kernelName = "GSSW";
-        break;
-      case ToolProfile::kGraphAligner:
-        stats.kernelSeconds += kernel_timer.seconds();
-        stats.kernelName = "GBV";
-        break;
-      default:
-        break;
-    }
     // Require a minimally convincing alignment.
     if (mapping.score <
         static_cast<int32_t>(read.size()) / 4) {
@@ -491,12 +488,11 @@ ReadPipeline::mapReads(std::span<const seq::Sequence> reads,
                        std::vector<ReadMapping> *mappings) const
 {
     MappingStats total;
-    total.reads = reads.size();
+    total.kernelName = kernelOf(config_.profile).name;
     obsReads.add(reads.size());
     if (mappings != nullptr)
         mappings->assign(reads.size(), ReadMapping{});
 
-    std::atomic<uint64_t> mapped(0);
     std::mutex merge_lock;
     core::parallelFor(0, reads.size(), config_.threads, [&](size_t i) {
         if (faultMapRead.fire()) {
@@ -505,24 +501,17 @@ ReadPipeline::mapReads(std::span<const seq::Sequence> reads,
         }
         obs::Span span("mapper.read");
         MappingStats local;
+        local.reads = 1;
         const ReadMapping mapping = mapOne(reads[i], local);
         if (mappings != nullptr)
             (*mappings)[i] = mapping;
         if (mapping.mapped) {
-            mapped.fetch_add(1, std::memory_order_relaxed);
+            local.mappedReads = 1;
             obsReadsMapped.add();
         }
         std::lock_guard<std::mutex> lock(merge_lock);
-        for (const auto &[stage, secs] : local.timers.stages())
-            total.timers.add(stage, secs);
-        total.kernelSeconds += local.kernelSeconds;
-        if (local.kernelName[0] != '\0')
-            total.kernelName = local.kernelName;
-        total.anchors += local.anchors;
-        total.clusters += local.clusters;
-        total.alignments += local.alignments;
+        total += local;
     });
-    total.mappedReads = mapped.load();
     return total;
 }
 
@@ -654,7 +643,7 @@ Seq2SeqMapper::bestWindow(const seq::Sequence &read,
     uint32_t best_votes = 0;
     bool best_reverse = false;
     {
-        core::StageTimers::Scope scope(target.timers, "seed");
+        obs::StageClock clock(target.timers, core::Stage::kSeed);
         for (const index::Minimizer &mini :
              index::computeMinimizers(read.codes(), k_, w_)) {
             auto it = table_.find(mini.hash);
@@ -679,7 +668,7 @@ Seq2SeqMapper::bestWindow(const seq::Sequence &read,
         }
     }
     {
-        core::StageTimers::Scope scope(target.timers, "cluster_chain");
+        obs::StageClock clock(target.timers, core::Stage::kClusterChain);
         if (best_votes < 2)
             return window;
         const auto read_len = static_cast<int64_t>(read.size());
@@ -728,9 +717,7 @@ Seq2SeqMapper::mapReads(std::span<const seq::Sequence> reads,
         if (plan.window.found && plan.window.reverse)
             plan.rc = reads[i].reverseComplement().codes();
         std::lock_guard<std::mutex> lock(merge_lock);
-        for (const auto &[stage, secs] : local.timers.stages())
-            total.timers.add(stage, secs);
-        total.anchors += local.anchors;
+        total += local;
     });
 
     // Phase 2: one inter-sequence batched SSW pass over every read
@@ -758,7 +745,8 @@ Seq2SeqMapper::mapReads(std::span<const seq::Sequence> reads,
     }
     std::vector<align::LocalHit> hits(jobs.size());
     {
-        core::StageTimers::Scope scope(total.timers, "align");
+        obs::StageClock clock(total.timers, core::Stage::kAlign,
+                              &total.kernelSeconds);
         align::sswAlignBatch(jobs,
                              align::ScoreParams::mappingDefaults(),
                              hits, threads);

@@ -14,8 +14,9 @@
  *  - Minigraph:    chaining with a 2-D DP whose gap bridging is the
  *                  GWFA kernel; final base-level WFA
  *
- * Per-stage time is accumulated in StageTimers; the contained kernel's
- * share of its stage (Figure 2's yellow arcs) is tracked separately.
+ * Each stage is one obs::StageClock scope; the one that contains the
+ * profile's kernel (kernelOf()) also charges Figure 2's yellow arc,
+ * MappingStats::kernelSeconds.
  */
 
 #ifndef PGB_PIPELINE_MAPPER_HPP
@@ -49,6 +50,14 @@ enum class ToolProfile
 
 /** Printable tool name. */
 const char *toolName(ToolProfile profile);
+
+/** A tool's Table 4 kernel and the Figure 2 stage that contains it. */
+struct KernelInfo
+{
+    const char *name;
+    core::Stage stage;
+};
+KernelInfo kernelOf(ToolProfile profile);
 
 /** Mapper configuration. */
 struct MapperConfig
@@ -100,14 +109,30 @@ struct ReadMapping
 /** Aggregate statistics for a batch (Figure 2's inputs). */
 struct MappingStats
 {
-    core::StageTimers timers; ///< seed / cluster_chain / filter / align
+    core::StageTimes timers; ///< seed / cluster_chain / filter / align
     double kernelSeconds = 0.0; ///< the extracted kernel's share
-    const char *kernelName = "";
+    const char *kernelName = ""; ///< set once per batch from the profile
     uint64_t reads = 0;
     uint64_t mappedReads = 0;
     uint64_t anchors = 0;
     uint64_t clusters = 0;
     uint64_t alignments = 0;
+
+    /** Sum every count and time of @p other; its kernel name wins. */
+    MappingStats &
+    operator+=(const MappingStats &other)
+    {
+        timers += other.timers;
+        kernelSeconds += other.kernelSeconds;
+        if (other.kernelName[0] != '\0')
+            kernelName = other.kernelName;
+        reads += other.reads;
+        mappedReads += other.mappedReads;
+        anchors += other.anchors;
+        clusters += other.clusters;
+        alignments += other.alignments;
+        return *this;
+    }
 };
 
 /** Captured GSSW kernel inputs (the paper's Table 3 trace datasets). */

@@ -6,7 +6,6 @@
 
 #include "align/wfa.hpp"
 #include "core/thread_pool.hpp"
-#include "core/timer.hpp"
 #include "index/minimizer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -82,7 +81,6 @@ allToAllAlign(const build::SequenceCatalog &catalog,
         std::vector<build::MatchSegment> local_matches;
         uint64_t mapped = 0, total_segments = 0;
         int64_t wfa_penalty = 0;
-        double wfa_seconds = 0.0;
 
         for (size_t seg_start = 0; seg_start < a_bases.size();
              seg_start += params.segmentLength) {
@@ -130,7 +128,6 @@ allToAllAlign(const build::SequenceCatalog &catalog,
                 best_diag + static_cast<int64_t>(segment.size()) + 64,
                 0, static_cast<int64_t>(b_bases.size()));
             if (params.runWfa && t_hi > t_lo) {
-                core::WallTimer timer;
                 const auto wfa = align::wfaAlign(
                     segment,
                     std::span<const uint8_t>(
@@ -138,7 +135,6 @@ allToAllAlign(const build::SequenceCatalog &catalog,
                         static_cast<size_t>(t_hi - t_lo)),
                     align::WfaPenalties{},
                     static_cast<int32_t>(segment.size()));
-                wfa_seconds += timer.seconds();
                 if (wfa.reached)
                     wfa_penalty += wfa.score;
             }
@@ -194,7 +190,6 @@ allToAllAlign(const build::SequenceCatalog &catalog,
         result.segmentsMapped += mapped;
         result.segmentsTotal += total_segments;
         result.wfaPenaltyTotal += wfa_penalty;
-        result.wfaSeconds += wfa_seconds;
     });
 
     // Deterministic output order regardless of thread interleaving.

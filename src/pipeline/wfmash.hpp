@@ -41,7 +41,6 @@ struct WfmashResult
     uint64_t segmentsMapped = 0;
     uint64_t segmentsTotal = 0;
     int64_t wfaPenaltyTotal = 0;
-    double wfaSeconds = 0.0; ///< time inside the WFA kernel
 };
 
 /**

@@ -22,6 +22,7 @@
 #include "core/thread_pool.hpp"
 #include "core/timer.hpp"
 #include "core/union_find.hpp"
+#include "obs/span.hpp"
 
 namespace pgb::core {
 namespace {
@@ -441,16 +442,41 @@ TEST(ParallelRun, AllWorkersRun)
 
 // ------------------------------------------------------------ Timers
 
-TEST(StageTimers, AccumulatesAcrossScopes)
+TEST(StageTimes, AccumulatesAcrossScopesInPipelineOrder)
 {
-    StageTimers timers;
-    timers.add("a", 1.5);
-    timers.add("a", 0.5);
-    timers.add("b", 1.0);
-    EXPECT_DOUBLE_EQ(timers.seconds("a"), 2.0);
-    EXPECT_DOUBLE_EQ(timers.seconds("b"), 1.0);
-    EXPECT_DOUBLE_EQ(timers.seconds("missing"), 0.0);
-    EXPECT_DOUBLE_EQ(timers.total(), 3.0);
+    StageTimes times;
+    double kernel = 0.0;
+    for (int i = 0; i < 3; ++i) {
+        obs::StageClock clock(times, Stage::kAlign, &kernel);
+    }
+    times.add(Stage::kSeed, 1.5);
+    times.add("seed", 0.5);
+    times.add(Stage::kVisualization, 0.0);
+
+    EXPECT_DOUBLE_EQ(times.seconds("seed"), 2.0);
+    // Each scope charged its stage and the kernel share the same
+    // seconds, from the same two clock reads.
+    EXPECT_GT(kernel, 0.0);
+    EXPECT_EQ(times.seconds("align"), kernel);
+    EXPECT_DOUBLE_EQ(times.seconds("missing"), 0.0);
+    EXPECT_DOUBLE_EQ(times.seconds("filter"), 0.0);
+    EXPECT_DOUBLE_EQ(times.total(), 2.0 + kernel);
+
+    // Entered stages only (a zero-second one included), in pipeline
+    // order rather than by name.
+    const auto stages = times.stages();
+    ASSERT_EQ(stages.size(), 3u);
+    EXPECT_STREQ(stages[0].first, "seed");
+    EXPECT_STREQ(stages[1].first, "align");
+    EXPECT_STREQ(stages[2].first, "visualization");
+
+    // A name taken from stages() is one add() accepts: a merge through
+    // names reproduces the source exactly.
+    StageTimes copy;
+    for (const auto &[stage, secs] : times.stages())
+        copy.add(stage, secs);
+    EXPECT_EQ(copy.stages(), stages);
+    EXPECT_THROW(copy.add("missing", 1.0), PanicError);
 }
 
 // ----------------------------------------------------------- Logging

@@ -8,8 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/logging.hpp"
 #include "core/thread_pool.hpp"
+#include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "pipeline/chain.hpp"
 #include "pipeline/graph_build.hpp"
 #include "pipeline/mapper.hpp"
@@ -180,6 +188,184 @@ TEST(Mapper, MinigraphUsesGwfaInChaining)
     EXPECT_GT(stats.kernelSeconds, 0.0);
     EXPECT_LE(stats.kernelSeconds,
               stats.timers.seconds("cluster_chain") + 1e-6);
+}
+
+TEST(Mapper, StatsMergeSumsEveryField)
+{
+    MappingStats a;
+    a.timers.add(core::Stage::kSeed, 1.0);
+    a.kernelSeconds = 0.5;
+    a.reads = 1;
+    a.mappedReads = 1;
+    a.anchors = 3;
+    a.clusters = 2;
+    a.alignments = 1;
+    MappingStats b = a;
+    b.timers.add(core::Stage::kAlign, 2.0);
+    b.kernelName = "GSSW";
+    a += b;
+    EXPECT_DOUBLE_EQ(a.timers.seconds("seed"), 2.0);
+    EXPECT_DOUBLE_EQ(a.timers.seconds("align"), 2.0);
+    EXPECT_DOUBLE_EQ(a.kernelSeconds, 1.0);
+    EXPECT_STREQ(a.kernelName, "GSSW");
+    EXPECT_EQ(a.reads, 2u);
+    EXPECT_EQ(a.mappedReads, 2u);
+    EXPECT_EQ(a.anchors, 6u);
+    EXPECT_EQ(a.clusters, 4u);
+    EXPECT_EQ(a.alignments, 2u);
+    // A merge with no kernel name keeps the one already set.
+    a += MappingStats{};
+    EXPECT_STREQ(a.kernelName, "GSSW");
+}
+
+class MapperStageClock : public ::testing::TestWithParam<ToolProfile>
+{
+};
+
+TEST_P(MapperStageClock, ChargesEveryStageScopeOfABatch)
+{
+    const ToolProfile profile = GetParam();
+    auto w = makeWorkload(30000, 24, 150, 205);
+    // Reads that stop early: random ones find no anchor, and random
+    // ones carrying one 24-base graph fragment seed but form no
+    // cluster of minClusterAnchors.
+    const auto &donor = w.pangenome.haplotypes[0].codes();
+    for (size_t r = 0; r < 12; ++r) {
+        std::vector<uint8_t> codes =
+            synth::randomSequence(150, 206 + r).codes();
+        if (r % 2 == 1) {
+            std::copy_n(donor.begin() + 1000 * r, 24,
+                        codes.begin() + 60);
+        }
+        w.reads.emplace_back(std::move(codes));
+    }
+    const auto context =
+        contextFor(w, profile == ToolProfile::kVgGiraffe);
+    MapperConfig config;
+    config.profile = profile;
+
+    // The stages each read reaches, from one-read batches.
+    uint64_t clustered = 0, filtered = 0, aligned = 0;
+    for (const Sequence &read : w.reads) {
+        const auto one = mapBatch(*context, config,
+                                  std::span<const Sequence>(&read, 1));
+        clustered += one.anchors > 0 ? 1 : 0;
+        filtered += one.clusters > 0 ? 1 : 0;
+        aligned += one.alignments > 0 ? 1 : 0;
+    }
+    ASSERT_LT(clustered, w.reads.size());
+    ASSERT_LT(filtered, clustered);
+    ASSERT_GT(aligned, 0u);
+
+    config.threads = 4;
+    const auto before = obs::snapshot();
+    const auto stats = mapBatch(*context, config, w.reads);
+    const auto after = obs::snapshot();
+    auto samples = [&](const char *stage) {
+        const std::string name =
+            std::string("mapper.stage_nanos.") + stage + ".count";
+        return after.counter(name) - before.counter(name);
+    };
+    EXPECT_EQ(samples("seed"), w.reads.size());
+    // Minigraph's GWFA gap bridging is a second cluster_chain scope
+    // for every read with a chain.
+    EXPECT_EQ(samples("cluster_chain"),
+              clustered + (profile == ToolProfile::kMinigraph
+                               ? filtered : 0));
+    EXPECT_EQ(samples("filter"), filtered);
+    EXPECT_EQ(samples("align"), aligned);
+
+    // The kernel's scope charged its stage and the kernel share alike;
+    // minigraph's GWFA scope is one of its two cluster_chain scopes.
+    const KernelInfo kernel = kernelOf(profile);
+    EXPECT_STREQ(stats.kernelName, kernel.name);
+    const double stage_secs =
+        stats.timers.seconds(core::stageName(kernel.stage));
+    EXPECT_GT(stats.kernelSeconds, 0.0);
+    if (profile == ToolProfile::kMinigraph)
+        EXPECT_LT(stats.kernelSeconds, stage_secs);
+    else
+        EXPECT_EQ(stats.kernelSeconds, stage_secs);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllTools, MapperStageClock,
+    ::testing::Values(ToolProfile::kVgMap, ToolProfile::kVgGiraffe,
+                      ToolProfile::kGraphAligner,
+                      ToolProfile::kMinigraph),
+    [](const ::testing::TestParamInfo<ToolProfile> &info) {
+        return toolName(info.param);
+    });
+
+/** Every span of @p events as (name, parent name), recording order. */
+std::vector<std::pair<std::string, std::string>>
+spanShape(const std::vector<obs::SpanEvent> &events)
+{
+    // Parents index their own thread's events; traceEvents() groups
+    // threads in turn, so a thread's events start at its first one.
+    std::map<uint32_t, size_t> first;
+    for (size_t i = 0; i < events.size(); ++i)
+        first.emplace(events[i].thread, i);
+    std::vector<std::pair<std::string, std::string>> shape;
+    for (const obs::SpanEvent &event : events) {
+        shape.emplace_back(
+            event.name,
+            event.parent < 0
+                ? "" : events[first[event.thread] +
+                              static_cast<size_t>(event.parent)]
+                           .name);
+    }
+    return shape;
+}
+
+TEST(MapperTrace, StageSpansNestUnderTheRead)
+{
+    const auto w = makeWorkload(30000, 8, 150, 207);
+    for (const SeederKind seeder :
+         {SeederKind::kMinimizer, SeederKind::kMem}) {
+        const auto context = MappingContext::Builder()
+                                 .fromGraph(w.pangenome.graph)
+                                 .seeder(seeder)
+                                 .build();
+        const std::string seed_span =
+            seeder == SeederKind::kMem ? "seed.mem" : "seed.minimizer";
+        for (const ToolProfile profile :
+             {ToolProfile::kVgMap, ToolProfile::kMinigraph}) {
+            MapperConfig config;
+            config.profile = profile;
+            // One read that reaches the align stage, mapped once
+            // untraced so the traced run is the steady state.
+            const Sequence *read = nullptr;
+            for (const Sequence &candidate : w.reads) {
+                if (mapBatch(*context, config,
+                             std::span<const Sequence>(&candidate, 1))
+                        .alignments > 0) {
+                    read = &candidate;
+                    break;
+                }
+            }
+            ASSERT_NE(read, nullptr) << toolName(profile);
+            obs::clearTrace();
+            obs::enableTracing(true);
+            mapBatch(*context, config, std::span<const Sequence>(read, 1));
+            obs::enableTracing(false);
+            const auto shape = spanShape(obs::traceEvents());
+            obs::clearTrace();
+
+            std::vector<std::pair<std::string, std::string>> expected = {
+                {"mapper.read", ""},
+                {"seed", "mapper.read"},
+                {seed_span, "seed"},
+                {"cluster_chain", "mapper.read"},
+            };
+            if (profile == ToolProfile::kMinigraph)
+                expected.emplace_back("cluster_chain", "mapper.read");
+            expected.emplace_back("filter", "mapper.read");
+            expected.emplace_back("align", "mapper.read");
+            EXPECT_EQ(shape, expected) << toolName(profile) << " with "
+                                       << seed_span;
+        }
+    }
 }
 
 TEST(Mapper, RandomReadsDoNotMap)

@@ -521,16 +521,7 @@ cmdMap(int argc, char **argv)
         } else {
             part = pipeline::mapBatch(*context, config, batch);
         }
-        total.reads += part.reads;
-        total.mappedReads += part.mappedReads;
-        total.anchors += part.anchors;
-        total.clusters += part.clusters;
-        total.alignments += part.alignments;
-        total.kernelSeconds += part.kernelSeconds;
-        if (part.kernelName[0] != '\0')
-            total.kernelName = part.kernelName;
-        for (const auto &[stage, secs] : part.timers.stages())
-            total.timers.add(stage, secs);
+        total += part;
     }
     reportSkipped("map", reader.stats());
     if (dump)
@@ -545,7 +536,7 @@ cmdMap(int argc, char **argv)
                               : (from_shards ? ", from shard set"
                                              : ""));
     for (const auto &[stage, secs] : total.timers.stages())
-        std::printf("  %-13s %8.3fs\n", stage.c_str(), secs);
+        std::printf("  %-13s %8.3fs\n", stage, secs);
     return 0;
 }
 
@@ -590,7 +581,7 @@ cmdBuild(int argc, char **argv)
                 stats.edgeCount, stats.pathCount,
                 parser.positional(1).c_str());
     for (const auto &[stage, secs] : report.timers.stages())
-        std::printf("  %-14s %8.3fs\n", stage.c_str(), secs);
+        std::printf("  %-14s %8.3fs\n", stage, secs);
     return 0;
 }
 
