@@ -121,12 +121,14 @@ gfaDigest(const graph::PanGraph &graph)
     return core::md5Hex(out.str());
 }
 
-/** The fixture graph indexed in memory, shared by every test. */
+/** The fixture graph indexed in memory (GBWT included, so giraffe
+ *  maps through it too), shared by every test. */
 std::shared_ptr<const pipeline::MappingContext>
 inMemoryContext()
 {
     static const auto context = pipeline::MappingContext::Builder()
                                     .fromGraph(fixture().pangenome.graph)
+                                    .buildGbwt(true)
                                     .build();
     return context;
 }
@@ -265,6 +267,16 @@ TEST(Golden, ShortReadMappingsMatchGolden)
                                     fixture().shortReads));
 }
 
+TEST(Golden, ShortReadGiraffeMappingsMatchGolden)
+{
+    // Giraffe's GBWT filter decides which clusters reach the aligner;
+    // a change to the walk that moves any read's mapping moves this.
+    checkGolden("short_reads_giraffe.md5",
+                test::mappingDigest(*inMemoryContext(),
+                                    pipeline::ToolProfile::kVgGiraffe,
+                                    fixture().shortReads));
+}
+
 TEST(Golden, LongReadMappingsMatchGolden)
 {
     checkGolden("long_reads_minigraph.md5",
@@ -280,6 +292,16 @@ TEST(Golden, ShortReadMappingsViaArtifactMatchGolden)
     checkGolden("short_reads_vgmap.md5",
                 test::mappingDigest(*artifactContext(),
                                     pipeline::ToolProfile::kVgMap,
+                                    fixture().shortReads));
+}
+
+TEST(Golden, ShortReadGiraffeMappingsViaArtifactMatchGolden)
+{
+    // The GBWT restored from the artifact's sections walks exactly as
+    // the built one does.
+    checkGolden("short_reads_giraffe.md5",
+                test::mappingDigest(*artifactContext(),
+                                    pipeline::ToolProfile::kVgGiraffe,
                                     fixture().shortReads));
 }
 
