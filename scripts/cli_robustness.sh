@@ -162,6 +162,11 @@ expect_fail "map --seeder=mem with FM-truncated artifact" \
 expect_fail "map --seeder=mem with FM bad-meta artifact" \
     "$PGB" map --index "$CORPUS/fm_bad_meta.pgbi" --seeder=mem \
     "$WORK/d.short.fq"
+# A GBWT body edge index past its record's edges (checksums valid)
+# fails closed at load, before any giraffe walk can index past them.
+expect_fail "map with GBWT bad-edge artifact" \
+    "$PGB" map --index "$CORPUS/gbwt_bad_edge.pgbi" "$WORK/d.short.fq" \
+    giraffe 1
 
 # A flipped payload byte must trip the section checksum.
 cp "$WORK/d.pgbi" "$WORK/bitrot.pgbi"

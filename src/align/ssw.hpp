@@ -262,17 +262,6 @@ stripedColumnT(const StripedProfile &profile, const ScoreParams &params,
     return v_max_col.horizontalMax();
 }
 
-/** 8-lane stripedColumnT under its historical name. */
-template <typename Probe>
-int16_t
-stripedColumn(const StripedProfile &profile, const ScoreParams &params,
-              StripedState &state, uint8_t ref_base, Probe &probe,
-              int16_t *column_out = nullptr, size_t column_stride = 1)
-{
-    return stripedColumnT<V8i16>(profile, params, state, ref_base,
-                                 probe, column_out, column_stride);
-}
-
 /**
  * Query row of the column maximum, scanned in query order so the
  * answer does not depend on the striped layout's lane count: the

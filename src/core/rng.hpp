@@ -127,18 +127,6 @@ class Xoshiro256StarStar
         return x < 1 ? 1 : (x > n ? n : x);
     }
 
-    /** Standard normal via Box-Muller (single value, discards pair). */
-    double
-    gaussian()
-    {
-        double u1 = uniform();
-        while (u1 <= 0.0)
-            u1 = uniform();
-        const double u2 = uniform();
-        return std::sqrt(-2.0 * std::log(u1)) *
-               std::cos(2.0 * 3.14159265358979323846 * u2);
-    }
-
     /** Jump the generator by a unique stream index (for Hogwild lanes). */
     static Xoshiro256StarStar
     forStream(uint64_t seed, uint64_t stream)

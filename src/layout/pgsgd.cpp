@@ -17,7 +17,6 @@ PathIndex::PathIndex(const graph::PanGraph &graph)
             stepNode_.push_back(step.node());
             const auto length =
                 static_cast<uint32_t>(graph.nodeLength(step.node()));
-            stepLength_.push_back(length);
             stepOffset_.push_back(offset);
             offset += length;
         }

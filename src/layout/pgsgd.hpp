@@ -63,13 +63,6 @@ class PathIndex
     /** Nucleotide offset of step @p step within its path. */
     uint64_t stepOffset(size_t step) const { return stepOffset_[step]; }
 
-    /** Length in bases of the node at step @p step. */
-    uint32_t
-    stepLength(size_t step) const
-    {
-        return stepLength_[step];
-    }
-
     /** Path owning flattened step @p step. */
     size_t pathOf(size_t step) const;
 
@@ -84,7 +77,6 @@ class PathIndex
 
   private:
     std::vector<uint32_t> stepNode_;
-    std::vector<uint32_t> stepLength_;
     std::vector<uint64_t> stepOffset_;
     std::vector<size_t> pathFirst_;
 };

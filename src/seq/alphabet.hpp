@@ -56,13 +56,6 @@ complementChar(char c)
     return decodeBase(complementBase(encodeBase(c)));
 }
 
-/** Whether @p c is one of ACGTacgt. */
-constexpr bool
-isConcreteBase(char c)
-{
-    return encodeBase(c) < kNumBases;
-}
-
 } // namespace pgb::seq
 
 #endif // PGB_SEQ_ALPHABET_HPP

@@ -146,6 +146,81 @@ copyAll(const std::string &path, const LoadedSection &section)
     return values;
 }
 
+/**
+ * Fail closed on a GBWT image whose checksums pass but whose records
+ * would walk out of bounds: section totals that disagree with the
+ * record headers, a body of the other encoding, a body edge index past
+ * the record's edge list, a successor past the record table, a
+ * successor block that overruns the successor's visits, or body
+ * lengths that do not add up to the record's size.
+ */
+void
+checkGbwtImage(const std::string &path,
+               const index::GbwtIndex::FlatImage &image,
+               size_t expected_records)
+{
+    if (image.recordHeaders.size() % 4 != 0)
+        fatal(path, ": BREC section is not a whole record count");
+    const size_t records = image.recordHeaders.size() / 4;
+    if (records != expected_records)
+        fatal(path, ": BREC holds ", records, " records, graph needs ",
+              expected_records);
+    if (image.edges.size() != image.edgeOffsets.size())
+        fatal(path, ": BEDG/BEOF sections disagree");
+    size_t edge_total = 0, run_total = 0, plain_total = 0;
+    for (size_t r = 0; r < records; ++r) {
+        edge_total += image.recordHeaders[r * 4 + 1];
+        run_total += image.recordHeaders[r * 4 + 2];
+        plain_total += image.recordHeaders[r * 4 + 3];
+    }
+    if (edge_total != image.edges.size() ||
+        run_total * 2 != image.runs.size() ||
+        plain_total != image.plain.size())
+        fatal(path, ": GBWT record headers disagree with bodies");
+    if (image.rle ? plain_total != 0 : run_total != 0)
+        fatal(path, ": GBWT ", image.rle ? "BPLN" : "BRUN",
+              " body in a ", image.rle ? "run-length" : "plain",
+              " index");
+
+    std::vector<uint64_t> block; // visits per edge of one record
+    size_t edge_at = 0, body_at = 0;
+    for (size_t r = 0; r < records; ++r) {
+        const uint32_t *header = image.recordHeaders.data() + r * 4;
+        const uint32_t edge_count = header[1];
+        block.assign(edge_count, 0);
+        uint64_t visits = 0;
+        auto visit = [&](uint32_t edge, uint32_t len) {
+            if (edge >= edge_count)
+                fatal(path, ": GBWT record ", r, " body names edge ",
+                      edge, " of ", edge_count);
+            block[edge] += len;
+            visits += len;
+        };
+        if (image.rle) {
+            for (uint32_t i = 0; i < header[2]; ++i, body_at += 2)
+                visit(image.runs[body_at], image.runs[body_at + 1]);
+        } else {
+            for (uint32_t i = 0; i < header[3]; ++i, ++body_at)
+                visit(image.plain[body_at], 1);
+        }
+        if (visits != header[0])
+            fatal(path, ": GBWT record ", r, " body holds ", visits,
+                  " visits, header says ", header[0]);
+        for (uint32_t e = 0; e < edge_count; ++e, ++edge_at) {
+            const uint32_t successor = image.edges[edge_at];
+            if (successor >= records)
+                fatal(path, ": GBWT record ", r, " edge ", e,
+                      " names record ", successor, " of ", records);
+            // Record 0 is the end marker: its edge is never followed.
+            if (successor != 0 &&
+                image.edgeOffsets[edge_at] + block[e] >
+                    image.recordHeaders[successor * 4])
+                fatal(path, ": GBWT record ", r, " edge ", e,
+                      " block overruns record ", successor);
+        }
+    }
+}
+
 } // namespace
 
 void
@@ -563,24 +638,7 @@ Artifact::load(const std::string &path)
             path, need(path, sections, kSecGbwtRuns));
         image.plain = copyAll<uint32_t>(
             path, need(path, sections, kSecGbwtPlain));
-        if (image.recordHeaders.size() % 4 != 0)
-            fatal(path, ": BREC section is not a whole record count");
-        const size_t records = image.recordHeaders.size() / 4;
-        if (records != node_count * 2 + 1)
-            fatal(path, ": BREC holds ", records,
-                  " records, graph needs ", node_count * 2 + 1);
-        if (image.edges.size() != image.edgeOffsets.size())
-            fatal(path, ": BEDG/BEOF sections disagree");
-        size_t edge_total = 0, run_total = 0, plain_total = 0;
-        for (size_t r = 0; r < records; ++r) {
-            edge_total += image.recordHeaders[r * 4 + 1];
-            run_total += image.recordHeaders[r * 4 + 2];
-            plain_total += image.recordHeaders[r * 4 + 3];
-        }
-        if (edge_total != image.edges.size() ||
-            run_total * 2 != image.runs.size() ||
-            plain_total != image.plain.size())
-            fatal(path, ": GBWT record headers disagree with bodies");
+        checkGbwtImage(path, image, node_count * 2 + 1);
         artifact->gbwt_ = std::make_unique<index::GbwtIndex>(
             index::GbwtIndex::restore(image));
     }

@@ -1,8 +1,9 @@
 /**
  * @file
- * Allocation guard for the align stage: once warm, opening and closing
- * a per-task pin set, subgraph extraction, and GSSW alignment into
- * reused buffers perform no heap allocation.
+ * Allocation guards for the filter and align stages: once warm,
+ * opening and closing a per-task pin set, giraffe's GBWT walk,
+ * subgraph extraction, and GSSW alignment into reused buffers perform
+ * no heap allocation.
  *
  * This file replaces the global operator new/delete with counting
  * versions, so it builds as its own executable (pgb_alloc_guard, ctest
@@ -20,6 +21,7 @@
 
 #include "align/gssw.hpp"
 #include "core/rng.hpp"
+#include "index/gbwt.hpp"
 #include "graph/local_graph.hpp"
 #include "pipeline/context.hpp"
 #include "store/shard_build.hpp"
@@ -222,6 +224,57 @@ TEST(AllocGuard, MonolithExtractAndGsswAllocateNothing)
                              .build();
     expectAllocationFree(context->source(), true);
     expectAllocationFree(context->source(), false);
+}
+
+/**
+ * Giraffe's filter walk as the mapper runs it: a pin set per read, the
+ * anchor's GBWT from gbwtWalkAt(), and walkBest() over up to 16 steps.
+ * After one warm pass, 1,000 walks must allocate nothing.
+ */
+void
+expectWalksAllocationFree(const pipeline::GraphSource &source)
+{
+    ASSERT_TRUE(source.hasGbwt());
+    core::Xoshiro256StarStar rng(0x6b3);
+    std::vector<uint32_t> starts;
+    for (int s = 0; s < 50; ++s)
+        starts.push_back(static_cast<uint32_t>(
+            rng.below(fixture().graph.nodeCount())));
+    size_t steps = 0;
+    auto run = [&](uint32_t node) {
+        pipeline::PinSet pins(source);
+        const pipeline::GbwtWalk walk = source.gbwtWalkAt(pins, node);
+        if (walk.gbwt != nullptr)
+            steps += walk.gbwt->walkBest(walk.start, 16).steps;
+    };
+    for (uint32_t node : starts)
+        run(node);
+    const uint64_t allocations = allocationsDuring([&] {
+        for (size_t i = 0; i < 1000; ++i)
+            run(starts[i % starts.size()]);
+    });
+    EXPECT_EQ(allocations, 0u) << source.kindName();
+    EXPECT_GT(steps, 0u);
+}
+
+TEST(AllocGuard, GbwtWalksAllocateNothing)
+{
+    const auto monolith = pipeline::MappingContext::Builder()
+                              .fromGraph(fixture().graph)
+                              .buildGbwt(true)
+                              .build();
+    expectWalksAllocationFree(monolith->source());
+
+    store::ShardBuildParams params;
+    params.targetShardMb = 0; // one shard per component
+    const std::string path = test::testTempPath("alloc_guard_gbwt.pgbs");
+    const auto manifest =
+        store::buildShardSet(fixture().graph, params, path);
+    ASSERT_EQ(manifest.shards.size(), 2u);
+    const auto shards = pipeline::MappingContext::Builder()
+                            .fromManifest(path)
+                            .build();
+    expectWalksAllocationFree(shards->source());
 }
 
 TEST(AllocGuard, ShardSetExtractAndGsswAllocateNothing)

@@ -426,5 +426,177 @@ TEST(Gbwt, StatsTotalVisitsEqualPathSteps)
     EXPECT_EQ(gbwt.stats().totalVisits, steps);
 }
 
+
+// ------------------------------------------------------ GBWT walkBest
+
+/**
+ * The filter walk as giraffe ran it before walkBest(): enumerate the
+ * present successors with nextNodes(), extend() into each, and follow
+ * the first largest range.
+ */
+GbwtBestWalk
+referenceWalk(const GbwtIndex &gbwt, Handle start, size_t max_steps)
+{
+    GbwtBestWalk walk;
+    walk.range = gbwt.fullRange(start);
+    while (!walk.range.empty() && walk.steps < max_steps) {
+        const auto nexts = gbwt.nextNodes(walk.range);
+        if (nexts.empty())
+            break;
+        GbwtRange best;
+        for (Handle next : nexts) {
+            const GbwtRange cand = gbwt.extend(walk.range, next);
+            if (cand.size() > best.size())
+                best = cand;
+        }
+        walk.range = best;
+        ++walk.steps;
+    }
+    return walk;
+}
+
+void
+expectSameWalk(const GbwtBestWalk &got, const GbwtBestWalk &want,
+               Handle start)
+{
+    EXPECT_EQ(got.steps, want.steps) << "start " << start.packed();
+    EXPECT_EQ(got.range.node, want.range.node) << "start "
+                                               << start.packed();
+    EXPECT_EQ(got.range.begin, want.range.begin) << "start "
+                                                 << start.packed();
+    EXPECT_EQ(got.range.end, want.range.end) << "start "
+                                             << start.packed();
+}
+
+TEST(Gbwt, WalkBestMatchesNextNodesAndExtendFromEveryStart)
+{
+    const auto pangenome =
+        synth::simulatePangenome(synth::mGraphLikeConfig(15000, 5));
+    const PanGraph &g = pangenome.graph;
+    for (const bool rle : {true, false}) {
+        const GbwtIndex gbwt(g, rle);
+        size_t walked = 0;
+        for (uint32_t node = 0; node < g.nodeCount(); ++node) {
+            for (const bool reverse : {false, true}) {
+                const Handle start(node, reverse);
+                const GbwtBestWalk want = referenceWalk(gbwt, start, 16);
+                expectSameWalk(gbwt.walkBest(start, 16), want, start);
+                walked += want.steps;
+            }
+        }
+        EXPECT_GT(walked, g.nodeCount()) << "rle=" << rle;
+    }
+}
+
+TEST(Gbwt, WalkBestChildrenMatchBruteForceCounts)
+{
+    const auto pangenome =
+        synth::simulatePangenome(synth::mGraphLikeConfig(8000, 6));
+    const PanGraph &g = pangenome.graph;
+    const GbwtIndex gbwt(g);
+    Rng rng(86);
+    for (int round = 0; round < 40; ++round) {
+        const Handle start(
+            static_cast<uint32_t>(rng.below(g.nodeCount())), false);
+        std::vector<Handle> prefix = {start};
+        for (size_t step = 1; step <= 16; ++step) {
+            const GbwtBestWalk walk = gbwt.walkBest(start, step);
+            // The brute-force best child: most haplotype occurrences
+            // of prefix + child, the smallest handle on ties.
+            Handle best_child;
+            size_t best_count = 0;
+            std::vector<Handle> children = g.successors(prefix.back());
+            std::sort(children.begin(), children.end(),
+                      [](Handle a, Handle b) {
+                          return a.packed() < b.packed();
+                      });
+            for (Handle child : children) {
+                prefix.push_back(child);
+                const size_t count = bruteForceCount(g, prefix);
+                prefix.pop_back();
+                if (count > best_count) {
+                    best_child = child;
+                    best_count = count;
+                }
+            }
+            if (best_count == 0) {
+                // Every occurrence of the prefix ends here.
+                EXPECT_EQ(walk.steps, step - 1) << "round " << round;
+                break;
+            }
+            ASSERT_EQ(walk.steps, step) << "round " << round;
+            prefix.push_back(best_child);
+            EXPECT_EQ(walk.range.node, best_child.packed() + 1)
+                << "round " << round << " step " << step;
+            EXPECT_EQ(walk.range.size(), best_count)
+                << "round " << round << " step " << step;
+        }
+    }
+}
+
+TEST(Gbwt, WalkBestHandlesMoreSuccessorsThanOneTallyChunk)
+{
+    // A hub with 100 successors: the best child (index 69, three
+    // haplotypes) sits past the first 64 edges, and child 89 ties it
+    // later in edge order, so the walk must tally every chunk and keep
+    // the first largest.
+    PanGraph g;
+    const auto hub = g.addNode(Sequence("", "A"));
+    std::vector<uint32_t> spokes;
+    for (int i = 0; i < 100; ++i)
+        spokes.push_back(g.addNode(Sequence("", "C")));
+    const auto sink = g.addNode(Sequence("", "G"));
+    for (uint32_t spoke : spokes) {
+        g.addEdge(Handle(hub, false), Handle(spoke, false));
+        g.addEdge(Handle(spoke, false), Handle(sink, false));
+    }
+    int haplotype = 0;
+    for (size_t i = 0; i < spokes.size(); ++i) {
+        const int copies = i == 69 || i == 89 ? 3 : i == 10 ? 2 : 1;
+        for (int c = 0; c < copies; ++c)
+            g.addPath(std::to_string(haplotype++),
+                      {Handle(hub, false), Handle(spokes[i], false),
+                       Handle(sink, false)});
+    }
+    for (const bool rle : {true, false}) {
+        const GbwtIndex gbwt(g, rle);
+        const Handle start(hub, false);
+        const GbwtBestWalk one = gbwt.walkBest(start, 1);
+        ASSERT_EQ(one.steps, 1u) << "rle=" << rle;
+        EXPECT_EQ(one.range.node, Handle(spokes[69], false).packed() + 1);
+        EXPECT_EQ(one.range.size(), 3u);
+        // hub -> spoke 69 -> sink, where every haplotype ends.
+        const GbwtBestWalk all = gbwt.walkBest(start, 16);
+        EXPECT_EQ(all.steps, 2u);
+        EXPECT_EQ(all.range.node, Handle(sink, false).packed() + 1);
+        EXPECT_EQ(all.range.size(), 3u);
+        expectSameWalk(all, referenceWalk(gbwt, start, 16), start);
+    }
+}
+
+TEST(Gbwt, RestoreRoundTripsTheFlatImageAndTheWalks)
+{
+    const auto pangenome =
+        synth::simulatePangenome(synth::mGraphLikeConfig(6000, 7));
+    const PanGraph &g = pangenome.graph;
+    for (const bool rle : {true, false}) {
+        const GbwtIndex built(g, rle);
+        const auto image = built.flatten();
+        const GbwtIndex restored = GbwtIndex::restore(image);
+        const auto again = restored.flatten();
+        EXPECT_EQ(again.rle, image.rle);
+        EXPECT_EQ(again.recordHeaders, image.recordHeaders);
+        EXPECT_EQ(again.edges, image.edges);
+        EXPECT_EQ(again.edgeOffsets, image.edgeOffsets);
+        EXPECT_EQ(again.runs, image.runs);
+        EXPECT_EQ(again.plain, image.plain);
+        for (uint32_t node = 0; node < g.nodeCount(); ++node) {
+            const Handle start(node, false);
+            expectSameWalk(restored.walkBest(start, 16),
+                           built.walkBest(start, 16), start);
+        }
+    }
+}
+
 } // namespace
 } // namespace pgb::index

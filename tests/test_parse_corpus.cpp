@@ -294,6 +294,16 @@ TEST(ParseCorpus, FmBadMetaArtifactReportsTheField)
                       "fatal: " + path + ": FMET sample rate is zero");
 }
 
+TEST(ParseCorpus, GbwtBadEdgeArtifactNamesTheRecord)
+{
+    // Checksums in this fixture are valid; the body's edge index is
+    // not.
+    const std::string path = corpusPath("gbwt_bad_edge.pgbi");
+    expectStrictError(
+        [&] { store::Artifact::load(path); },
+        "fatal: " + path + ": GBWT record 1 body names edge 2 of 2");
+}
+
 // ------------------------------------------------ .pgbs shard sets
 //
 // Shard manifests fail closed: any defect — bad trailer, bad version,

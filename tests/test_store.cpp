@@ -290,6 +290,16 @@ TEST(StoreFail, FmCorpusFixturesAllFailClosed)
                  core::FatalError);
 }
 
+TEST(StoreFail, GbwtCorpusFixtureFailsClosed)
+{
+    // A GBWT whose BRUN names edge 2 of record 1's two edges, with
+    // every checksum recomputed: only the per-record GBWT validation
+    // can catch it, and it must before a walk indexes past the edges.
+    const std::string corpus = PGB_CORPUS_DIR;
+    EXPECT_THROW(store::Artifact::load(corpus + "/gbwt_bad_edge.pgbi"),
+                 core::FatalError);
+}
+
 TEST(StoreFail, FmSectionRoundTripsAndValidates)
 {
     // A healthy FM-bearing artifact loads with view-mode FM spans that
