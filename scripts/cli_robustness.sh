@@ -167,6 +167,14 @@ expect_fail "map --seeder=mem with FM bad-meta artifact" \
 expect_fail "map with GBWT bad-edge artifact" \
     "$PGB" map --index "$CORPUS/gbwt_bad_edge.pgbi" "$WORK/d.short.fq" \
     giraffe 1
+# A META k outside [1, 32] and an MTAB hash wider than 2k bits
+# (checksums valid) fail closed at load, before any minimizer scan or
+# directory lookup.
+expect_fail "map with minimizer bad-k artifact" \
+    "$PGB" map --index "$CORPUS/minimizer_bad_k.pgbi" "$WORK/d.short.fq"
+expect_fail "map with minimizer hash-range artifact" \
+    "$PGB" map --index "$CORPUS/minimizer_hash_range.pgbi" \
+    "$WORK/d.short.fq"
 
 # A flipped payload byte must trip the section checksum.
 cp "$WORK/d.pgbi" "$WORK/bitrot.pgbi"

@@ -16,7 +16,7 @@ computeMinimizers(std::span<const uint8_t> bases, int k, int w)
 
 MinimizerIndex::MinimizerIndex(const graph::PanGraph &graph, int k,
                                int w, unsigned threads)
-    : k_(k), w_(w)
+    : k_(k), w_(w), directory_(k, 0)
 {
     struct Entry
     {
@@ -125,80 +125,75 @@ MinimizerIndex::MinimizerIndex(const graph::PanGraph &graph, int k,
                                          a.hit.reverse == b.hit.reverse;
                               }),
                   entries.end());
-    hits_.reserve(entries.size());
+    // Emit the sorted run straight into the table, the hits and the
+    // directory.
+    size_t distinct = 0;
+    for (size_t i = 0; i < entries.size(); ++i)
+        distinct += i == 0 || entries[i].hash != entries[i - 1].hash;
+    ownedTable_.reserve(distinct);
+    ownedHits_.reserve(entries.size());
+    directory_ = HashDirectory(k, distinct);
     for (size_t i = 0; i < entries.size();) {
         size_t j = i;
         while (j < entries.size() && entries[j].hash == entries[i].hash)
             ++j;
-        table_.emplace(entries[i].hash,
-                       std::make_pair(static_cast<uint32_t>(hits_.size()),
-                                      static_cast<uint32_t>(
-                                          hits_.size() + (j - i))));
+        directory_.add(static_cast<uint32_t>(ownedTable_.size()),
+                       entries[i].hash);
+        ownedTable_.push_back(
+            {entries[i].hash, static_cast<uint32_t>(ownedHits_.size()),
+             static_cast<uint32_t>(ownedHits_.size() + (j - i))});
         for (size_t t = i; t < j; ++t)
-            hits_.push_back(entries[t].hit);
+            ownedHits_.push_back(entries[t].hit);
         i = j;
     }
+    table_ = ownedTable_;
+    hits_ = ownedHits_;
+}
+
+MinimizerIndex::MinimizerIndex(int k, int w)
+    : k_(k), w_(w), directory_(k, 0)
+{
 }
 
 MinimizerIndex::MinimizerIndex(int k, int w,
                                std::span<const TableEntry> table,
-                               std::span<const GraphSeedHit> hits)
-    : k_(k), w_(w), viewMode_(true), tableView_(table), hitsView_(hits)
+                               std::span<const GraphSeedHit> hits,
+                               HashDirectory directory)
+    : k_(k), w_(w), view_(true), table_(table), hits_(hits),
+      directory_(std::move(directory))
 {
 }
 
 std::span<const GraphSeedHit>
 MinimizerIndex::occurrences(uint64_t hash) const
 {
-    if (viewMode_) {
-        // Hand-rolled lower_bound: every probe's two possible
-        // successors are known before the compare resolves, so both
-        // candidate midpoints are prefetched a step ahead — the bucket
-        // probe is otherwise a chain of data-dependent misses over a
-        // table far larger than cache (paper Figure 7).
-        const TableEntry *base = tableView_.data();
-        size_t lo = 0;
-        size_t len = tableView_.size();
-        while (len > 0) {
-            const size_t half = len / 2;
-            core::prefetchRead(base + lo + half / 2, 0);
-            core::prefetchRead(base + lo + half + (len - half) / 2, 0);
-            if (base[lo + half].hash < hash) {
-                lo += half + 1;
-                len -= half + 1;
-            } else {
-                len = half;
-            }
-        }
-        if (lo == tableView_.size() || base[lo].hash != hash)
-            return {};
-        // The caller iterates the hits next; start that fetch now.
-        core::prefetchRead(hitsView_.data() + base[lo].begin);
-        return {hitsView_.data() + base[lo].begin,
-                static_cast<size_t>(base[lo].end - base[lo].begin)};
-    }
-    auto it = table_.find(hash);
-    if (it == table_.end())
+    const size_t bucket = directory_.bucket(hash);
+    if (bucket >= directory_.buckets())
+        return {}; // wider than this index's k-mers
+    const TableEntry *entry = table_.data() + directory_.start(bucket);
+    const TableEntry *end = table_.data() + directory_.start(bucket + 1);
+    while (entry != end && entry->hash < hash)
+        ++entry;
+    if (entry == end || entry->hash != hash)
         return {};
-    core::prefetchRead(hits_.data() + it->second.first);
-    return {hits_.data() + it->second.first,
-            it->second.second - it->second.first};
+    // The caller iterates the hits next; start that fetch now.
+    core::prefetchRead(hits_.data() + entry->begin);
+    return {hits_.data() + entry->begin,
+            static_cast<size_t>(entry->end - entry->begin)};
 }
 
-std::vector<MinimizerIndex::TableEntry>
-MinimizerIndex::flatTable() const
+HashDirectory::HashDirectory(int k, size_t entries)
 {
-    if (viewMode_)
-        return {tableView_.begin(), tableView_.end()};
-    std::vector<TableEntry> flat;
-    flat.reserve(table_.size());
-    for (const auto &[hash, range] : table_)
-        flat.push_back({hash, range.first, range.second});
-    std::sort(flat.begin(), flat.end(),
-              [](const TableEntry &a, const TableEntry &b) {
-                  return a.hash < b.hash;
-              });
-    return flat;
+    // The most bits whose 2^b + 1 starts fit in half the table's
+    // bytes (4 (2^b + 1) <= 8 entries), at least 1 so the shift stays
+    // below 64, at most the hash width.
+    const auto hash_bits = static_cast<unsigned>(2 * std::clamp(k, 1, 32));
+    unsigned bits = 1;
+    while (bits < hash_bits && (size_t{1} << (bits + 1)) + 1 <= 2 * entries)
+        ++bits;
+    shift_ = hash_bits - bits;
+    starts_.assign((size_t{1} << bits) + 1,
+                   static_cast<uint32_t>(entries));
 }
 
 } // namespace pgb::index

@@ -7,7 +7,8 @@
  * seeding (paper §2.1: "same computation as Seq2Seq minimizers, but
  * with larger memory requirements" since positions are graph
  * coordinates). The index maps minimizer hashes to (node, offset,
- * orientation) positions.
+ * orientation) positions through one hash-sorted table, built or
+ * viewed in an artifact, and a directory on the hash's top bits.
  *
  * Like vg's haplotype-based minimizer index, graphs with embedded
  * paths are indexed along their path sequences, so k-mers spanning
@@ -22,7 +23,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/probe.hpp"
@@ -60,6 +60,7 @@ struct MinimizerCand
 {
     uint64_t hash;
     uint32_t pos;
+    uint32_t rank; ///< candidates since the last N, this one included
     bool reverse;
 };
 
@@ -77,6 +78,15 @@ struct MinimizerWindowScratch
  * containing N are skipped. The window candidate buffer lives in a
  * thread-local scratch, so per-read calls on the mapping hot path do
  * not touch malloc once warm.
+ *
+ * The window is the last w candidates (palindromic k-mers are not
+ * candidates; an N clears it), reported at every candidate whose
+ * k-mer starts at or past w - 1. Its minimum is the newest candidate
+ * when that ties the smallest hash, otherwise the leftmost smallest.
+ * A monotone deque finds it in amortized O(1) per base: candidates
+ * sit in rank order with non-decreasing hashes, so the front is the
+ * leftmost minimum and the back, the newest candidate, ties it iff
+ * every live candidate holds the same hash.
  */
 template <typename Probe = core::NullProbe>
 void
@@ -92,14 +102,18 @@ computeMinimizersInto(std::span<const uint8_t> bases, int k, int w,
     const int shift = 2 * (k - 1);
 
     uint64_t fwd = 0, rev = 0;
-    int valid = 0; // consecutive non-N bases ending here
+    int valid = 0;     // consecutive non-N bases ending here
+    uint32_t rank = 0; // candidates since the last N
+    // Window length for expiry; w <= 1 keeps only the newest.
+    const auto window = static_cast<uint32_t>(w > 1 ? w : 1);
 
-    // Ring buffer of candidate (hash, pos, strand) for the window.
-    std::vector<MinimizerCand> &window =
+    // The deque is deque[head, size()): pushes and back pops at the
+    // end, expiries advance head. An N empties it.
+    std::vector<MinimizerCand> &deque =
         core::threadScratch<detail::MinimizerWindowScratch>().cands;
-    window.clear();
-    window.reserve(n >= static_cast<size_t>(k) ?
-                   n - static_cast<size_t>(k) + 1 : 0);
+    deque.clear();
+    deque.reserve(n - static_cast<size_t>(k) + 1);
+    size_t head = 0;
     auto emit_if_new = [&](const MinimizerCand &cand) {
         if (out.empty() || out.back().hash != cand.hash ||
             out.back().position != cand.pos) {
@@ -112,7 +126,9 @@ computeMinimizersInto(std::span<const uint8_t> bases, int k, int w,
         const uint8_t base = bases[i];
         if (base >= 4) {
             valid = 0;
-            window.clear();
+            rank = 0;
+            deque.clear();
+            head = 0;
             probe.branch(/* site */ 50, true);
             continue;
         }
@@ -130,20 +146,24 @@ computeMinimizersInto(std::span<const uint8_t> bases, int k, int w,
         const bool reverse = rev < fwd;
         const uint64_t hash = hash64(reverse ? rev : fwd, mask);
         const auto pos = static_cast<uint32_t>(i + 1 - k);
-        window.push_back({hash, pos, reverse});
+        ++rank;
+        // Equal hashes stay, so the front remains the leftmost minimum.
+        while (deque.size() > head && deque.back().hash > hash) {
+            probe.load(&deque.back(), 8);
+            deque.pop_back();
+        }
+        deque.push_back({hash, pos, rank, reverse});
+        // Expire the candidates older than the last w.
+        while (deque[head].rank + window <= rank) {
+            probe.load(&deque[head], 8);
+            ++head;
+        }
 
         // Report the window minimum once the window is full.
         if (pos + 1 >= static_cast<uint32_t>(w)) {
-            // Scan the last w candidates for the minimum hash.
-            MinimizerCand best = window.back();
-            const size_t lo = window.size() >= static_cast<size_t>(w)
-                ? window.size() - static_cast<size_t>(w) : 0;
-            for (size_t c = lo; c < window.size(); ++c) {
-                probe.load(&window[c], 8);
-                if (window[c].hash < best.hash)
-                    best = window[c];
-            }
-            emit_if_new(best);
+            const MinimizerCand &front = deque[head];
+            emit_if_new(deque.back().hash == front.hash ? deque.back()
+                                                        : front);
         }
     }
 }
@@ -181,14 +201,64 @@ struct GraphSeedHit
 static_assert(sizeof(GraphSeedHit) == 12,
               "GraphSeedHit is a .pgbi on-disk record");
 
+/**
+ * Bucket starts over a hash-sorted minimizer table. Bucket i holds the
+ * entries whose 2k-bit hash has i as its top b bits, so a lookup reads
+ * two adjacent starts and scans that bucket alone. b grows with the
+ * entry count: the 2^b + 1 starts take at most half the table's bytes
+ * (once it holds two entries), and a bucket averages at most one entry.
+ */
+class HashDirectory
+{
+  public:
+    /**
+     * An empty directory for a table of @p entries hashes of
+     * @p k-mers: every bucket starts at the table end until add()
+     * opens it.
+     */
+    HashDirectory(int k, size_t entries);
+
+    /**
+     * Note that table entry @p entry holds @p hash. Call once per
+     * entry, in table order; @p hash must fit in 2k bits.
+     */
+    void
+    add(uint32_t entry, uint64_t hash)
+    {
+        const size_t last = bucket(hash);
+        while (opened_ <= last)
+            starts_[opened_++] = entry;
+    }
+
+    /** The bucket of @p hash (>= buckets() if it exceeds 2k bits). */
+    size_t
+    bucket(uint64_t hash) const
+    {
+        return static_cast<size_t>(hash >> shift_);
+    }
+
+    /** Number of buckets, 2^b. */
+    size_t buckets() const { return starts_.size() - 1; }
+
+    /** First table entry of bucket @p b; start(b + 1) ends it. */
+    uint32_t start(size_t b) const { return starts_[b]; }
+
+    /** Heap bytes of the starts. */
+    size_t bytes() const { return starts_.size() * sizeof(uint32_t); }
+
+  private:
+    std::vector<uint32_t> starts_;
+    unsigned shift_;     ///< 2k - b
+    size_t opened_ = 0;  ///< buckets whose start add() has set
+};
+
 /** Minimizer index over the node sequences of a PanGraph. */
 class MinimizerIndex
 {
   public:
     /**
-     * One hash's occurrence range, sorted by hash — the flat,
-     * binary-searchable form of the lookup table and the on-disk
-     * record of the `.pgbi` MTAB section.
+     * One hash's occurrence range, sorted by hash: the lookup table's
+     * record and the on-disk record of the `.pgbi` MTAB section.
      */
     struct TableEntry
     {
@@ -210,57 +280,65 @@ class MinimizerIndex
     MinimizerIndex(const graph::PanGraph &graph, int k, int w,
                    unsigned threads = 1);
 
+    /** An index with no minimizers (a pathless shard's). */
+    MinimizerIndex(int k, int w);
+
     /**
-     * Zero-copy view over serialized sections (pgb::store): lookups
-     * binary-search @p table instead of hashing. The spans' backing
-     * memory (the mmap'ed artifact) must outlive the index.
+     * Zero-copy view over serialized sections (pgb::store). The
+     * caller has checked that @p table is sorted by hash, fits in 2k
+     * bits and points inside @p hits, and has added every entry to
+     * @p directory in the same pass. The spans' backing memory (the
+     * mmap'ed artifact) must outlive the index.
      */
     MinimizerIndex(int k, int w, std::span<const TableEntry> table,
-                   std::span<const GraphSeedHit> hits);
+                   std::span<const GraphSeedHit> hits,
+                   HashDirectory directory);
+
+    // The spans may point into the owned vectors: moves keep them
+    // valid, copies would not.
+    MinimizerIndex(const MinimizerIndex &) = delete;
+    MinimizerIndex &operator=(const MinimizerIndex &) = delete;
+    MinimizerIndex(MinimizerIndex &&) = default;
+    MinimizerIndex &operator=(MinimizerIndex &&) = default;
 
     int k() const { return k_; }
     int w() const { return w_; }
 
-    /** Occurrences of minimizer @p hash (empty span if absent). */
+    /**
+     * Occurrences of minimizer @p hash (empty span if absent): one
+     * directory read and a scan of one bucket, for built and loaded
+     * indexes alike.
+     */
     std::span<const GraphSeedHit> occurrences(uint64_t hash) const;
 
     /** Number of distinct minimizer hashes. */
-    size_t
-    distinctMinimizers() const
-    {
-        return viewMode_ ? tableView_.size() : table_.size();
-    }
+    size_t distinctMinimizers() const { return table_.size(); }
 
     /** Total indexed occurrences. */
-    size_t
-    totalOccurrences() const
-    {
-        return viewMode_ ? hitsView_.size() : hits_.size();
-    }
+    size_t totalOccurrences() const { return hits_.size(); }
 
-    /** Whether this index is a zero-copy view over an artifact. */
-    bool isView() const { return viewMode_; }
+    /** Whether the table and hits are views into an artifact. */
+    bool isView() const { return view_; }
 
-    /** Flat sorted table for serialization (built or viewed). */
-    std::vector<TableEntry> flatTable() const;
+    /** The sorted table (what the MTAB section holds). */
+    std::span<const TableEntry> flatTable() const { return table_; }
 
-    /** All occurrences in table order (built or viewed). */
-    std::span<const GraphSeedHit>
-    allHits() const
-    {
-        return viewMode_ ? hitsView_ : std::span<const GraphSeedHit>(
-                                           hits_.data(), hits_.size());
-    }
+    /** All occurrences in table order (what MHIT holds). */
+    std::span<const GraphSeedHit> allHits() const { return hits_; }
+
+    /** Heap bytes derived beside the table: the directory. */
+    size_t derivedBytes() const { return directory_.bytes(); }
 
   private:
     int k_, w_;
-    bool viewMode_ = false;
-    /// hash -> [begin, end) into hits_ (build mode)
-    std::unordered_map<uint64_t, std::pair<uint32_t, uint32_t>> table_;
-    std::vector<GraphSeedHit> hits_;
-    /// zero-copy spans into a loaded artifact (view mode)
-    std::span<const TableEntry> tableView_;
-    std::span<const GraphSeedHit> hitsView_;
+    bool view_ = false;
+    /// a built index's storage; empty when viewing an artifact
+    std::vector<TableEntry> ownedTable_;
+    std::vector<GraphSeedHit> ownedHits_;
+    /// what lookups read: the owned vectors or the artifact's sections
+    std::span<const TableEntry> table_;
+    std::span<const GraphSeedHit> hits_;
+    HashDirectory directory_;
 };
 
 } // namespace pgb::index

@@ -274,6 +274,14 @@ class ShardMinimizerSeeder final : public Seeder
                 continue; // absent, or repetitive across the whole set
             for (size_t slot : ws.bucketSlot)
                 ws.touched[slot] = 1;
+            if (ws.buckets.size() == 1) {
+                // One shard holds every hit (always on a monolith):
+                // its bucket is already in the merged order.
+                const LoadedShard &shard = *ws.shards[ws.bucketSlot[0]];
+                for (const index::GraphSeedHit &hit : ws.buckets[0])
+                    anchors.push_back(minimizerAnchor(shard, mini, hit));
+                continue;
+            }
             // Merge the per-shard buckets by global node id. A node
             // lives in exactly one shard, so heads never tie across
             // buckets and within-node order stays bucket-internal.

@@ -109,11 +109,9 @@ LoadedShard::build(const graph::PanGraph &graph, int k, int w,
     // The sizes of the flat tables; the graph and the GBWT's nested
     // records are not counted.
     const index::MinimizerIndex &minimizers = *shard->minimizers;
-    shard->bytes =
-        minimizers.distinctMinimizers() *
-            sizeof(index::MinimizerIndex::TableEntry) +
-        minimizers.allHits().size_bytes() +
-        shard->linearBases.size_bytes();
+    shard->bytes = minimizers.flatTable().size_bytes() +
+                   minimizers.allHits().size_bytes() +
+                   shard->linearBases.size_bytes();
     if (shard->fm != nullptr) {
         const index::FmIndex &fm = *shard->fm;
         shard->bytes += fm.bwtData().size_bytes() +
@@ -129,13 +127,14 @@ LoadedShard::build(const graph::PanGraph &graph, int k, int w,
 void
 LoadedShard::finish()
 {
+    // The heap every shard derives beside its tables is resident too.
+    bytes += minimizers->derivedBytes();
     if (fm == nullptr)
         return;
     if (fm->pathCount() != graph->pathCount())
         fatal("FM-index covers ", fm->pathCount(), " paths, graph has ",
               graph->pathCount());
     stepStarts = pathStepStarts(*graph);
-    // The heap a MEM-seeded shard derives at load is resident too.
     bytes += fm->derivedBytes();
     for (const auto &starts : stepStarts)
         bytes += starts.size() * sizeof(uint64_t);
@@ -309,6 +308,14 @@ ShardCache::loadLocked(uint32_t shard) const
     if (!artifact.isShard()) {
         fatal(path, ": artifact has no SNOD/SLIN shard sections; it "
                     "was written by `pgb index`, not `pgb shard`");
+    }
+    // Reads are sketched with the manifest's (k, w); a shard indexed
+    // with others would be looked up with hashes of the wrong width.
+    if (artifact.k() != static_cast<int>(manifest_.k) ||
+        artifact.w() != static_cast<int>(manifest_.w)) {
+        fatal(path, ": shard holds (k, w) = (", artifact.k(), ", ",
+              artifact.w(), "), manifest records (", manifest_.k, ", ",
+              manifest_.w, ")");
     }
     if (artifact.origNodes().size() != entry.nodes) {
         fatal(path, ": shard holds ", artifact.origNodes().size(),

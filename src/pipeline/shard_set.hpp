@@ -71,7 +71,8 @@ class LoadedShard
     std::vector<std::vector<uint64_t>> stepStarts;
     /// Footprint charged to shard.resident_bytes: the file size of an
     /// artifact, the index tables' sizes for an in-memory build, plus
-    /// the FM-index's derived heap and stepStarts when fm is set.
+    /// the minimizer hash directory, and the FM-index's derived heap
+    /// and stepStarts when fm is set.
     uint64_t bytes = 0;
 
     /** Global node id of local node @p local. */
@@ -82,8 +83,9 @@ class LoadedShard
     }
 
   private:
-    /** Step starts for MEM seeding, charged to bytes with the
-     *  FM-index's derived heap; fatal on an FM/graph mismatch. */
+    /** Charge the minimizer directory to bytes; with fm set, also
+     *  the step starts for MEM seeding and the FM-index's derived
+     *  heap. Fatal on an FM/graph mismatch. */
     void finish();
 
     // ---- The owner: exactly one of artifact_ / the built indexes.

@@ -258,7 +258,7 @@ buildShardSet(const graph::PanGraph &graph,
 
         // A monolith with embedded paths indexes along paths only, so
         // a pathless shard contributes nothing to seeding: it gets an
-        // empty view index (never the per-node fallback, which would
+        // empty index (never the per-node fallback, which would
         // invent seeds the monolith does not have) and no GBWT/FM.
         std::unique_ptr<index::MinimizerIndex> minimizers;
         std::unique_ptr<index::GbwtIndex> gbwt;
@@ -274,9 +274,7 @@ buildShardSet(const graph::PanGraph &graph,
                     shard_graph, params.fmSampleRate);
         } else {
             minimizers = std::make_unique<index::MinimizerIndex>(
-                params.k, params.w,
-                std::span<const index::MinimizerIndex::TableEntry>(),
-                std::span<const index::GraphSeedHit>());
+                params.k, params.w);
         }
 
         const std::string file =

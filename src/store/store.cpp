@@ -313,8 +313,10 @@ writeArtifact(const std::string &path, const graph::PanGraph &graph,
 
     // Minimizer index: the zero-copy sections.
     {
-        const auto table = minimizers.flatTable();
-        sections.push_back(makeSection(kSecMinimizerTable, table));
+        Section table{kSecMinimizerTable, {}};
+        const auto entries = minimizers.flatTable();
+        appendRaw(table.bytes, entries.data(), entries.size());
+        sections.push_back(std::move(table));
         Section hits{kSecMinimizerHits, {}};
         const auto all = minimizers.allHits();
         appendRaw(hits.bytes, all.data(), all.size());
@@ -499,6 +501,11 @@ Artifact::load(const std::string &path)
         *viewAs<Meta>(path, need(path, sections, kSecMeta), 1);
     const auto node_count = static_cast<size_t>(meta.nodeCount);
     const auto path_count = static_cast<size_t>(meta.pathCount);
+    // The minimizer scan shifts by 2(k - 1) and masks 2k bits.
+    if (meta.k < 1 || meta.k > 32)
+        fatal(path, ": META k = ", meta.k, " is outside [1, 32]");
+    if (meta.w < 1)
+        fatal(path, ": META w = ", meta.w, " is below 1");
     artifact->k_ = static_cast<int>(meta.k);
     artifact->w_ = static_cast<int>(meta.w);
 
@@ -595,7 +602,8 @@ Artifact::load(const std::string &path)
             std::move(path_names));
     }
 
-    // ---- Minimizer index: zero-copy spans over the mapping.
+    // ---- Minimizer index: zero-copy spans over the mapping, and the
+    // hash directory derived in the pass that checks them.
     {
         const auto &table_sec = need(path, sections, kSecMinimizerTable);
         const auto &hits_sec = need(path, sections, kSecMinimizerHits);
@@ -608,6 +616,12 @@ Artifact::load(const std::string &path)
                                                       entry_count);
         const auto *hits =
             viewAs<index::GraphSeedHit>(path, hits_sec, hit_count);
+        if (entry_count > UINT32_MAX)
+            fatal(path, ": MTAB holds ", entry_count,
+                  " entries, more than 2^32 - 1");
+        const uint64_t hash_mask =
+            meta.k < 32 ? (1ull << (2 * meta.k)) - 1 : ~0ull;
+        index::HashDirectory directory(artifact->k_, entry_count);
         for (size_t e = 0; e < entry_count; ++e) {
             if (entries[e].begin > entries[e].end ||
                 entries[e].end > hit_count)
@@ -615,13 +629,18 @@ Artifact::load(const std::string &path)
                       " points outside MHIT");
             if (e > 0 && entries[e - 1].hash >= entries[e].hash)
                 fatal(path, ": MTAB is not sorted by hash");
+            if (entries[e].hash > hash_mask)
+                fatal(path, ": MTAB entry ", e, " hash exceeds ",
+                      2 * meta.k, " bits");
+            directory.add(static_cast<uint32_t>(e), entries[e].hash);
         }
         artifact->minimizers_ =
             std::make_unique<index::MinimizerIndex>(
                 artifact->k_, artifact->w_,
                 std::span<const index::MinimizerIndex::TableEntry>(
                     entries, entry_count),
-                std::span<const index::GraphSeedHit>(hits, hit_count));
+                std::span<const index::GraphSeedHit>(hits, hit_count),
+                std::move(directory));
     }
 
     // ---- GBWT (single bulk copy).

@@ -1,9 +1,9 @@
 /**
  * @file
- * Allocation guards for the filter and align stages: once warm,
- * opening and closing a per-task pin set, giraffe's GBWT walk,
- * subgraph extraction, and GSSW alignment into reused buffers perform
- * no heap allocation.
+ * Allocation guards for the seed, filter and align stages: once warm,
+ * opening and closing a per-task pin set, minimizer seeding, giraffe's
+ * GBWT walk, subgraph extraction, and GSSW alignment into reused
+ * buffers perform no heap allocation.
  *
  * This file replaces the global operator new/delete with counting
  * versions, so it builds as its own executable (pgb_alloc_guard, ctest
@@ -275,6 +275,60 @@ TEST(AllocGuard, GbwtWalksAllocateNothing)
                             .fromManifest(path)
                             .build();
     expectWalksAllocationFree(shards->source());
+}
+
+/**
+ * The seed stage as the mapper runs it: a pin set per read and the
+ * minimizer seeder's collect() into a reused anchor vector. After one
+ * warm pass, 1,000 reads must allocate nothing.
+ */
+void
+expectSeedingAllocationFree(const pipeline::MappingContext &context)
+{
+    ASSERT_EQ(context.seeder().kind(), pipeline::SeederKind::kMinimizer);
+    core::Xoshiro256StarStar rng(0x5eed);
+    std::vector<seq::Sequence> reads;
+    for (int r = 0; r < 50; ++r) {
+        const auto &reference = fixture().references[r % 2].codes();
+        const size_t at = rng.below(reference.size() - 150);
+        reads.emplace_back(std::vector<uint8_t>(
+            reference.begin() + static_cast<ptrdiff_t>(at),
+            reference.begin() + static_cast<ptrdiff_t>(at + 150)));
+    }
+    std::vector<pipeline::Anchor> anchors;
+    size_t seeded = 0;
+    auto run = [&](const seq::Sequence &read) {
+        pipeline::PinSet pins(context.source());
+        context.seeder().collect(pins, read, anchors);
+        seeded += anchors.size();
+    };
+    for (const seq::Sequence &read : reads)
+        run(read);
+    const uint64_t allocations = allocationsDuring([&] {
+        for (size_t i = 0; i < 1000; ++i)
+            run(reads[i % reads.size()]);
+    });
+    EXPECT_EQ(allocations, 0u) << context.source().kindName();
+    EXPECT_GT(seeded, 0u);
+}
+
+TEST(AllocGuard, MinimizerSeedingAllocatesNothing)
+{
+    const auto monolith = pipeline::MappingContext::Builder()
+                              .fromGraph(fixture().graph)
+                              .build();
+    expectSeedingAllocationFree(*monolith);
+
+    store::ShardBuildParams params;
+    params.targetShardMb = 0; // one shard per component
+    const std::string path = test::testTempPath("alloc_guard_seed.pgbs");
+    const auto manifest =
+        store::buildShardSet(fixture().graph, params, path);
+    ASSERT_EQ(manifest.shards.size(), 2u);
+    const auto shards = pipeline::MappingContext::Builder()
+                            .fromManifest(path)
+                            .build();
+    expectSeedingAllocationFree(*shards);
 }
 
 TEST(AllocGuard, ShardSetExtractAndGsswAllocateNothing)

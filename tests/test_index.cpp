@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 
 #include "core/rng.hpp"
@@ -14,7 +15,9 @@
 #include "index/gbwt.hpp"
 #include "index/minimizer.hpp"
 #include "index/suffix_array.hpp"
+#include "store/store.hpp"
 #include "synth/pangenome_sim.hpp"
+#include "temp_path.hpp"
 
 namespace pgb::index {
 namespace {
@@ -233,6 +236,215 @@ TEST(MinimizerIndex, UnknownHashGivesEmptySpan)
     g.addNode(Sequence("", std::string(100, 'A')));
     MinimizerIndex index(g, 15, 10);
     EXPECT_TRUE(index.occurrences(0xDEADBEEFull).empty());
+}
+
+// ------------------------------------------- Minimizer (window, table)
+
+/**
+ * The window scan as it was before the monotone deque: at every
+ * reported candidate, rescan the last w candidates, keep the newest
+ * when it ties the minimum and otherwise the leftmost minimum. The
+ * differential oracle for computeMinimizersInto.
+ */
+std::vector<Minimizer>
+rescanMinimizers(const std::vector<uint8_t> &bases, int k, int w)
+{
+    struct Cand
+    {
+        uint64_t hash;
+        uint32_t pos;
+        bool reverse;
+    };
+    std::vector<Minimizer> out;
+    if (bases.size() < static_cast<size_t>(k))
+        return out;
+    const uint64_t mask = k < 32 ? (1ull << (2 * k)) - 1 : ~0ull;
+    const int shift = 2 * (k - 1);
+    uint64_t fwd = 0, rev = 0;
+    int valid = 0;
+    std::vector<Cand> window;
+    for (size_t i = 0; i < bases.size(); ++i) {
+        const uint8_t base = bases[i];
+        if (base >= 4) {
+            valid = 0;
+            window.clear();
+            continue;
+        }
+        fwd = ((fwd << 2) | base) & mask;
+        rev = (rev >> 2) | (static_cast<uint64_t>(3 - base) << shift);
+        if (++valid < k || fwd == rev)
+            continue;
+        const bool reverse = rev < fwd;
+        const auto pos = static_cast<uint32_t>(i + 1 - k);
+        window.push_back({hash64(reverse ? rev : fwd, mask), pos, reverse});
+        if (pos + 1 < static_cast<uint32_t>(w))
+            continue;
+        Cand best = window.back();
+        const size_t lo = window.size() >= static_cast<size_t>(w)
+            ? window.size() - static_cast<size_t>(w) : 0;
+        for (size_t c = lo; c < window.size(); ++c)
+            if (window[c].hash < best.hash)
+                best = window[c];
+        if (out.empty() || out.back().hash != best.hash ||
+            out.back().position != best.pos)
+            out.push_back({best.hash, best.pos, best.reverse});
+    }
+    return out;
+}
+
+void
+expectSameMinimizers(const std::vector<uint8_t> &bases, int k, int w,
+                     const std::string &what)
+{
+    const auto want = rescanMinimizers(bases, k, w);
+    const auto got = computeMinimizers(bases, k, w);
+    ASSERT_EQ(got.size(), want.size())
+        << what << " k=" << k << " w=" << w << " n=" << bases.size();
+    for (size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].hash, want[i].hash) << what << " #" << i;
+        ASSERT_EQ(got[i].position, want[i].position) << what << " #" << i;
+        ASSERT_EQ(got[i].reverse, want[i].reverse) << what << " #" << i;
+    }
+}
+
+TEST(Minimizer, WindowMatchesTheRescanOracle)
+{
+    Rng rng(2323);
+    const auto random_bases = [&](size_t n, uint64_t n_per_mille) {
+        std::vector<uint8_t> bases(n);
+        for (uint8_t &base : bases)
+            base = rng.below(1000) < n_per_mille
+                ? seq::kBaseN : static_cast<uint8_t>(rng.below(4));
+        return bases;
+    };
+    for (const int k : {5, 15, 31, 32}) {
+        for (const int w : {1, 2, 5, 10, 20}) {
+            std::vector<std::pair<std::string, std::vector<uint8_t>>>
+                inputs;
+            for (int r = 0; r < 4; ++r)
+                inputs.push_back({"random", random_bases(600, 0)});
+            for (int r = 0; r < 4; ++r)
+                inputs.push_back({"with N", random_bases(600, 15)});
+            // Lengths around k and k + w - 1, where windows are partial.
+            for (const int n : {k - 1, k, k + w - 2, k + w - 1, k + w})
+                if (n > 0)
+                    inputs.push_back(
+                        {"short", random_bases(static_cast<size_t>(n),
+                                               0)});
+            // Homopolymers and tandem repeats: runs of tied hashes.
+            for (uint8_t base = 0; base < 4; ++base)
+                inputs.push_back(
+                    {"homopolymer", std::vector<uint8_t>(300, base)});
+            for (const size_t period : {2u, 3u, 4u, 6u}) {
+                const auto unit = random_bases(period, 0);
+                std::vector<uint8_t> repeat;
+                for (size_t i = 0; i < 400; ++i)
+                    repeat.push_back(unit[i % period]);
+                repeat[200] = seq::kBaseN; // restart mid-repeat
+                inputs.push_back({"tandem", repeat});
+            }
+            // ACGT runs and their reverse complements: every other even-k
+            // k-mer in a run is its own reverse complement.
+            std::vector<uint8_t> palindromes;
+            for (size_t i = 0; i < 400; ++i)
+                palindromes.push_back(
+                    static_cast<uint8_t>(i % 16 < 8 ? i % 4 : 3 - i % 4));
+            inputs.push_back({"palindromes", palindromes});
+            for (const auto &[what, bases] : inputs)
+                expectSameMinimizers(bases, k, w, what);
+        }
+    }
+}
+
+/** Whether @p hash is in @p index's table (by binary search). */
+bool
+inTable(const MinimizerIndex &index, uint64_t hash)
+{
+    const auto table = index.flatTable();
+    return std::binary_search(
+        table.begin(), table.end(), MinimizerIndex::TableEntry{hash, 0, 0},
+        [](const auto &a, const auto &b) { return a.hash < b.hash; });
+}
+
+TEST(Minimizer, LookupRoundTripsEveryHashAndMissesAbsentOnes)
+{
+    const auto pangenome =
+        synth::simulatePangenome(synth::mGraphLikeConfig(20000, 4));
+    for (const int k : {5, 15, 31, 32}) {
+        const MinimizerIndex index(pangenome.graph, k, 10);
+        const auto table = index.flatTable();
+        const auto hits = index.allHits();
+        ASSERT_GT(table.size(), 1u) << k;
+        // The directory never outgrows half the table.
+        EXPECT_LE(index.derivedBytes(), table.size_bytes() / 2) << k;
+        for (size_t e = 0; e < table.size(); ++e) {
+            if (e > 0) {
+                ASSERT_LT(table[e - 1].hash, table[e].hash);
+            }
+            const auto found = index.occurrences(table[e].hash);
+            ASSERT_EQ(found.data(), hits.data() + table[e].begin) << k;
+            ASSERT_EQ(found.size(), table[e].end - table[e].begin) << k;
+        }
+        const uint64_t mask = k < 32 ? (1ull << (2 * k)) - 1 : ~0ull;
+        Rng rng(static_cast<uint64_t>(k));
+        size_t absent = 0;
+        for (int probe = 0; probe < 20000; ++probe) {
+            const uint64_t hash = rng() & mask;
+            if (inTable(index, hash))
+                continue;
+            EXPECT_TRUE(index.occurrences(hash).empty()) << hash;
+            ++absent;
+        }
+        EXPECT_GT(absent, 0u) << k;
+        // A hash wider than the index's k-mers is absent, not a crash.
+        if (k < 32) {
+            EXPECT_TRUE(index.occurrences(mask + 1).empty());
+        }
+    }
+}
+
+TEST(Minimizer, EmptyTableLooksUpNothing)
+{
+    // Pathless shards get an empty index; so does a graph too short
+    // for one k-mer.
+    const MinimizerIndex empty(15, 10);
+    EXPECT_EQ(empty.distinctMinimizers(), 0u);
+    EXPECT_FALSE(empty.isView());
+    PanGraph g;
+    g.addNode(Sequence("", "ACGT"));
+    const MinimizerIndex short_graph(g, 15, 10);
+    EXPECT_EQ(short_graph.distinctMinimizers(), 0u);
+    Rng rng(7);
+    for (int probe = 0; probe < 1000; ++probe) {
+        const uint64_t hash = rng() & ((1ull << 30) - 1);
+        EXPECT_TRUE(empty.occurrences(hash).empty());
+        EXPECT_TRUE(short_graph.occurrences(hash).empty());
+    }
+}
+
+TEST(Minimizer, LoadedSpansEqualBuiltSpans)
+{
+    const auto pangenome =
+        synth::simulatePangenome(synth::mGraphLikeConfig(20000, 5));
+    const MinimizerIndex built(pangenome.graph, 15, 10);
+    const std::string path = test::testTempPath("minimizer_spans.pgbi");
+    store::writeArtifact(path, pangenome.graph, built, nullptr);
+    const auto artifact = store::Artifact::load(path);
+    const MinimizerIndex &loaded = artifact->minimizers();
+    ASSERT_TRUE(loaded.isView());
+    EXPECT_EQ(loaded.derivedBytes(), built.derivedBytes());
+    const auto bt = built.flatTable(), lt = loaded.flatTable();
+    const auto bh = built.allHits(), lh = loaded.allHits();
+    ASSERT_EQ(bt.size(), lt.size());
+    ASSERT_EQ(bh.size(), lh.size());
+    EXPECT_EQ(std::memcmp(bt.data(), lt.data(), bt.size_bytes()), 0);
+    EXPECT_EQ(std::memcmp(bh.data(), lh.data(), bh.size_bytes()), 0);
+    for (const auto &entry : bt) {
+        const auto a = built.occurrences(entry.hash);
+        const auto b = loaded.occurrences(entry.hash);
+        ASSERT_EQ(a.size(), b.size());
+        EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size_bytes()), 0);
+    }
 }
 
 // -------------------------------------------------------------- GBWT

@@ -304,6 +304,25 @@ TEST(ParseCorpus, GbwtBadEdgeArtifactNamesTheRecord)
         "fatal: " + path + ": GBWT record 1 body names edge 2 of 2");
 }
 
+TEST(ParseCorpus, MinimizerBadKArtifactNamesTheField)
+{
+    // Checksums in this fixture are valid; META's k is 40.
+    const std::string path = corpusPath("minimizer_bad_k.pgbi");
+    expectStrictError([&] { store::Artifact::load(path); },
+                      "fatal: " + path +
+                          ": META k = 40 is outside [1, 32]");
+}
+
+TEST(ParseCorpus, MinimizerHashRangeArtifactNamesTheEntry)
+{
+    // Checksums in this fixture are valid; the last MTAB hash is
+    // 2^30, one past the 30-bit hashes of k = 15.
+    const std::string path = corpusPath("minimizer_hash_range.pgbi");
+    expectStrictError([&] { store::Artifact::load(path); },
+                      "fatal: " + path +
+                          ": MTAB entry 772 hash exceeds 30 bits");
+}
+
 // ------------------------------------------------ .pgbs shard sets
 //
 // Shard manifests fail closed: any defect — bad trailer, bad version,

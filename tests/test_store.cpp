@@ -300,6 +300,20 @@ TEST(StoreFail, GbwtCorpusFixtureFailsClosed)
                  core::FatalError);
 }
 
+TEST(StoreFail, MinimizerCorpusFixturesFailClosed)
+{
+    // A META k of 40 (the scan shifts by 2(k - 1) and masks 2k bits)
+    // and an MTAB hash one past the 2k-bit mask (it would index past
+    // the hash directory), each with every checksum recomputed.
+    const std::string corpus = PGB_CORPUS_DIR;
+    EXPECT_THROW(
+        store::Artifact::load(corpus + "/minimizer_bad_k.pgbi"),
+        core::FatalError);
+    EXPECT_THROW(
+        store::Artifact::load(corpus + "/minimizer_hash_range.pgbi"),
+        core::FatalError);
+}
+
 TEST(StoreFail, FmSectionRoundTripsAndValidates)
 {
     // A healthy FM-bearing artifact loads with view-mode FM spans that
