@@ -167,6 +167,15 @@ expect_fail "map --seeder=mem with FM bad-meta artifact" \
 expect_fail "map with GBWT bad-edge artifact" \
     "$PGB" map --index "$CORPUS/gbwt_bad_edge.pgbi" "$WORK/d.short.fq" \
     giraffe 1
+# An artifact whose GBWT is in the older five-section split, not BWRD
+# words, fails closed on the missing section.
+expect_fail "map with split-layout GBWT artifact" \
+    "$PGB" map --index "$CORPUS/gbwt_split_layout.pgbi" \
+    "$WORK/d.short.fq" giraffe 1
+if ! grep -q "missing required section BWRD" "$WORK/stderr.txt"; then
+    echo "FAIL: split-layout GBWT artifact: wrong diagnostic" >&2
+    failures=$((failures + 1))
+fi
 # A META k outside [1, 32] and an MTAB hash wider than 2k bits
 # (checksums valid) fail closed at load, before any minimizer scan or
 # directory lookup.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 
 #include "core/logging.hpp"
 #include "core/thread_pool.hpp"
@@ -124,13 +125,23 @@ GbwtIndex::GbwtIndex(const graph::PanGraph &graph,
     size_t total = 0;
     for (const auto &words : staged)
         total += words.size();
-    words_.reserve(total);
+    ownedWords_.reserve(total);
     recordStart_.resize(id_space);
     for (size_t v = 0; v < id_space; ++v) {
-        recordStart_[v] = words_.size();
-        words_.insert(words_.end(), staged[v].begin(), staged[v].end());
+        recordStart_[v] = ownedWords_.size();
+        ownedWords_.insert(ownedWords_.end(), staged[v].begin(),
+                           staged[v].end());
         staged[v] = {};
     }
+    words_ = ownedWords_;
+}
+
+GbwtIndex::GbwtIndex(bool run_length_encode,
+                     std::span<const uint32_t> words,
+                     std::vector<size_t> record_starts)
+    : rle_(run_length_encode), words_(words),
+      recordStart_(std::move(record_starts))
+{
 }
 
 GbwtRange
@@ -220,64 +231,6 @@ GbwtIndex::walkBest(graph::Handle start, size_t max_steps) const
         ++walk.steps;
     }
     return walk;
-}
-
-GbwtIndex::FlatImage
-GbwtIndex::flatten() const
-{
-    FlatImage image;
-    image.rle = rle_;
-    image.recordHeaders.reserve(recordStart_.size() * 4);
-    for (size_t v = 0; v < recordStart_.size(); ++v) {
-        const RecordView record = recordAt(static_cast<uint32_t>(v));
-        const uint32_t body_count = record.bodyCount();
-        image.recordHeaders.insert(
-            image.recordHeaders.end(),
-            {record.size(), record.edgeCount(), rle_ ? body_count : 0,
-             rle_ ? 0 : body_count});
-        for (uint32_t e = 0; e < record.edgeCount(); ++e) {
-            image.edges.push_back(record.successor(e));
-            image.edgeOffsets.push_back(record.edgeOffset(e));
-        }
-        auto &body = rle_ ? image.runs : image.plain;
-        body.insert(body.end(), record.body(),
-                    record.body() + body_count * (rle_ ? 2 : 1));
-    }
-    return image;
-}
-
-GbwtIndex
-GbwtIndex::restore(const FlatImage &image)
-{
-    GbwtIndex index;
-    index.rle_ = image.rle;
-    const size_t record_count = image.recordHeaders.size() / 4;
-    const auto &bodies = image.rle ? image.runs : image.plain;
-    index.words_.reserve(record_count * kHeaderWords +
-                         image.edges.size() * 2 + bodies.size());
-    index.recordStart_.resize(record_count);
-    size_t edge_at = 0, body_at = 0;
-    for (size_t r = 0; r < record_count; ++r) {
-        const uint32_t *header = image.recordHeaders.data() + r * 4;
-        const uint32_t edge_count = header[1];
-        const uint32_t body_count = image.rle ? header[2] : header[3];
-        const size_t body_words =
-            static_cast<size_t>(body_count) * (image.rle ? 2 : 1);
-        index.recordStart_[r] = index.words_.size();
-        index.words_.insert(index.words_.end(),
-                            {header[0], edge_count, body_count});
-        for (uint32_t e = 0; e < edge_count; ++e) {
-            index.words_.push_back(image.edges[edge_at + e]);
-            index.words_.push_back(image.edgeOffsets[edge_at + e]);
-        }
-        index.words_.insert(
-            index.words_.end(),
-            bodies.begin() + static_cast<ptrdiff_t>(body_at),
-            bodies.begin() + static_cast<ptrdiff_t>(body_at + body_words));
-        edge_at += edge_count;
-        body_at += body_words;
-    }
-    return index;
 }
 
 GbwtStats

@@ -9,7 +9,9 @@
  * the successor's visit list, and a run-length-encoded body giving the
  * successor of every visit. As in the GBWT proper, a record is one
  * contiguous run of words — every record lives in a single array,
- * found through a per-node start offset. find(S) walks the records
+ * found through a per-node start offset. A built index owns that
+ * array; a loaded one views the artifact's copy in place, and both
+ * read it through the same span. find(S) walks the records
  * with last-first mapping and returns the range of haplotypes
  * containing S as a subpath; nextNodes() enumerates the
  * haplotype-consistent extensions (paper Figure 4c: only paths that
@@ -80,6 +82,23 @@ class GbwtIndex
     explicit GbwtIndex(const graph::PanGraph &graph,
                        bool run_length_encode = true,
                        unsigned threads = 1);
+
+    /**
+     * Zero-copy view over a serialized record image (pgb::store's BWRD
+     * section). The caller has checked every record against the words()
+     * layout and derived @p record_starts, the first word of each
+     * record, in the same pass. @p words' backing memory (the mmap'ed
+     * artifact) must outlive the index.
+     */
+    GbwtIndex(bool run_length_encode, std::span<const uint32_t> words,
+              std::vector<size_t> record_starts);
+
+    // words_ may point into ownedWords_: moves keep it valid, copies
+    // would not.
+    GbwtIndex(const GbwtIndex &) = delete;
+    GbwtIndex &operator=(const GbwtIndex &) = delete;
+    GbwtIndex(GbwtIndex &&) = default;
+    GbwtIndex &operator=(GbwtIndex &&) = default;
 
     /** Range spanning every visit of @p handle. */
     GbwtRange fullRange(graph::Handle handle) const;
@@ -229,46 +248,32 @@ class GbwtIndex
 
     bool runLengthEncoded() const { return rle_; }
 
+    /** Words before a record's edge pairs: size, edgeCount, bodyCount. */
+    static constexpr uint32_t kHeaderWords = 3;
+
     /**
-     * Serialized image for pgb::store: per-record counters plus the
-     * concatenated edge/offset/body arrays. restore() rebuilds the
-     * record array from it in one linear pass — the §9 "single bulk
-     * copy" fallback, still orders of magnitude cheaper than
-     * rebuilding from the suffix array of the reversed paths.
+     * Every record's words, back to back by internal id (what BWRD
+     * holds): {size, edgeCount, bodyCount}, then (successor,
+     * edgeOffset) per edge sorted by successor, then the body —
+     * bodyCount (edge index, run length) pairs when run-length
+     * encoded, bodyCount edge indices (one per visit) otherwise.
      */
-    struct FlatImage
+    std::span<const uint32_t> words() const { return words_; }
+
+    /** Heap bytes derived beside the words: the record starts. */
+    size_t
+    derivedBytes() const
     {
-        bool rle = true;
-        /// per record: {size, edgeCount, runCount, plainCount}
-        std::vector<uint32_t> recordHeaders;
-        std::vector<uint32_t> edges;       ///< all records' edge lists
-        std::vector<uint32_t> edgeOffsets; ///< parallel to edges
-        std::vector<uint32_t> runs;        ///< (edge, len) pairs, flat
-        std::vector<uint32_t> plain;       ///< plain bodies, flat
-    };
-
-    FlatImage flatten() const;
-
-    /** Rebuild from a flattened image (validated by the caller). */
-    static GbwtIndex restore(const FlatImage &image);
+        return recordStart_.size() * sizeof(size_t);
+    }
 
   private:
-    GbwtIndex() = default;
-
     static constexpr uint32_t kEndMarker = 0;
 
     /** Edges tallied per body scan in walkBest(). */
     static constexpr uint32_t kWalkChunk = 64;
 
-    /** Words before a record's edge pairs: size, edgeCount, bodyCount. */
-    static constexpr uint32_t kHeaderWords = 3;
-
-    /**
-     * One record inside words_: {size, edgeCount, bodyCount}, then
-     * (successor, edgeOffset) per edge sorted by successor, then the
-     * body — bodyCount (edge index, run length) pairs when run-length
-     * encoded, bodyCount edge indices (one per visit) otherwise.
-     */
+    /** One record inside words_ (layout: see words()). */
     struct RecordView
     {
         const uint32_t *words;
@@ -382,8 +387,10 @@ class GbwtIndex
     }
 
     bool rle_ = true;
-    /// every record's words, back to back, indexed by recordStart_
-    std::vector<uint32_t> words_;
+    /// a built index's records; empty when viewing an artifact
+    std::vector<uint32_t> ownedWords_;
+    /// what lookups read: ownedWords_ or the artifact's BWRD section
+    std::span<const uint32_t> words_;
     /// first word of each record in words_, indexed by internal id
     std::vector<size_t> recordStart_;
 };

@@ -106,16 +106,16 @@ LoadedShard::build(const graph::PanGraph &graph, int k, int w,
     }
     shard->linear_ = std::make_unique<GraphLinearization>(graph);
     shard->linearBases = shard->linear_->nodeStarts();
-    // The sizes of the flat tables; the graph and the GBWT's nested
-    // records are not counted.
+    // The sizes of the flat tables; the graph is not counted.
     const index::MinimizerIndex &minimizers = *shard->minimizers;
     shard->bytes = minimizers.flatTable().size_bytes() +
                    minimizers.allHits().size_bytes() +
                    shard->linearBases.size_bytes();
+    if (shard->gbwt != nullptr)
+        shard->bytes += shard->gbwt->words().size_bytes();
     if (shard->fm != nullptr) {
         const index::FmIndex &fm = *shard->fm;
         shard->bytes += fm.bwtData().size_bytes() +
-                        fm.occData().size_bytes() +
                         fm.sampleData().size_bytes() +
                         fm.markData().size_bytes() +
                         fm.pathOffsetsData().size_bytes();
@@ -129,6 +129,8 @@ LoadedShard::finish()
 {
     // The heap every shard derives beside its tables is resident too.
     bytes += minimizers->derivedBytes();
+    if (gbwt != nullptr)
+        bytes += gbwt->derivedBytes();
     if (fm == nullptr)
         return;
     if (fm->pathCount() != graph->pathCount())

@@ -71,8 +71,9 @@ class LoadedShard
     std::vector<std::vector<uint64_t>> stepStarts;
     /// Footprint charged to shard.resident_bytes: the file size of an
     /// artifact, the index tables' sizes for an in-memory build, plus
-    /// the minimizer hash directory, and the FM-index's derived heap
-    /// and stepStarts when fm is set.
+    /// the minimizer hash directory, the GBWT's record starts when
+    /// gbwt is set, and the FM-index's derived heap and stepStarts
+    /// when fm is set.
     uint64_t bytes = 0;
 
     /** Global node id of local node @p local. */
@@ -83,9 +84,9 @@ class LoadedShard
     }
 
   private:
-    /** Charge the minimizer directory to bytes; with fm set, also
-     *  the step starts for MEM seeding and the FM-index's derived
-     *  heap. Fatal on an FM/graph mismatch. */
+    /** Charge the minimizer directory and the GBWT's record starts
+     *  to bytes; with fm set, also the step starts for MEM seeding and
+     *  the FM-index's derived heap. Fatal on an FM/graph mismatch. */
     void finish();
 
     // ---- The owner: exactly one of artifact_ / the built indexes.

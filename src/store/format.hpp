@@ -13,7 +13,10 @@
  * Version-bump rules: kFormatVersion changes whenever the header, the
  * section table, a section's record layout, or the meaning of an
  * existing field changes. Adding a new optional section does NOT bump
- * the version (readers ignore unknown tags); everything else does.
+ * the version (readers ignore unknown tags), and neither does replacing
+ * a section family with a new required tag: each reader then fails
+ * closed on the other's files with "missing required section".
+ * Everything else does.
  */
 
 #ifndef PGB_STORE_FORMAT_HPP
@@ -93,20 +96,17 @@ constexpr uint32_t kSecPathNames = fourcc('P', 'N', 'A', 'M');
 // them in place through std::span.
 constexpr uint32_t kSecMinimizerTable = fourcc('M', 'T', 'A', 'B');
 constexpr uint32_t kSecMinimizerHits = fourcc('M', 'H', 'I', 'T');
-// GBWT: per-record {size, edgeCount, runCount, plainCount} headers +
-// concatenated edge/edgeOffset/run/plain arrays (bulk-copy sections).
-constexpr uint32_t kSecGbwtRecords = fourcc('B', 'R', 'E', 'C');
-constexpr uint32_t kSecGbwtEdges = fourcc('B', 'E', 'D', 'G');
-constexpr uint32_t kSecGbwtEdgeOffsets = fourcc('B', 'E', 'O', 'F');
-constexpr uint32_t kSecGbwtRuns = fourcc('B', 'R', 'U', 'N');
-constexpr uint32_t kSecGbwtPlain = fourcc('B', 'P', 'L', 'N');
-// FM-index (optional, --seeder=mem): FmMeta scalars, BWT bytes, occ
-// checkpoints, sampled SA values, mark bitvector words, path text
-// offsets. FBWT/FOCC/FSSA/FMRK/FPOF are zero-copy: a loaded FmIndex
-// views them in place through std::span, like the minimizer table.
+// GBWT: every record's u32 words back to back, in GbwtIndex::words()
+// layout (zero-copy; the record starts are derived in the load's check
+// pass). META's kFlagGbwtRle says how the bodies are encoded.
+constexpr uint32_t kSecGbwtWords = fourcc('B', 'W', 'R', 'D');
+// FM-index (optional, --seeder=mem): FmMeta scalars, BWT bytes,
+// sampled SA values, mark bitvector words, path text offsets.
+// FBWT/FSSA/FMRK/FPOF are zero-copy: a loaded FmIndex views them in
+// place through std::span, like the minimizer table, and derives its
+// rank blocks from FBWT.
 constexpr uint32_t kSecFmMeta = fourcc('F', 'M', 'E', 'T');
 constexpr uint32_t kSecFmBwt = fourcc('F', 'B', 'W', 'T');
-constexpr uint32_t kSecFmOcc = fourcc('F', 'O', 'C', 'C');
 constexpr uint32_t kSecFmSamples = fourcc('F', 'S', 'S', 'A');
 constexpr uint32_t kSecFmMarks = fourcc('F', 'M', 'R', 'K');
 constexpr uint32_t kSecFmPathOffsets = fourcc('F', 'P', 'O', 'F');

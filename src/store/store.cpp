@@ -3,7 +3,10 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
+#include <span>
 #include <type_traits>
+#include <utility>
 
 #include "core/fault.hpp"
 #include "core/io.hpp"
@@ -62,12 +65,13 @@ appendRaw(std::vector<uint8_t> &out, const T *data, size_t count)
         std::memcpy(out.data() + at, data, bytes);
 }
 
-template <typename T>
+/** A section holding @p values' elements (a vector or a span). */
+template <typename Values>
 Section
-makeSection(uint32_t tag, const std::vector<T> &values)
+makeSection(uint32_t tag, const Values &values)
 {
     Section section{tag, {}};
-    appendRaw(section.bytes, values.data(), values.size());
+    appendRaw(section.bytes, std::data(values), std::size(values));
     return section;
 }
 
@@ -130,95 +134,81 @@ viewAs(const std::string &path, const LoadedSection &section,
     return reinterpret_cast<const T *>(section.data);
 }
 
-/** Copy a whole section into a typed vector (bulk-copy sections). */
-template <typename T>
-std::vector<T>
-copyAll(const std::string &path, const LoadedSection &section)
-{
-    static_assert(std::is_trivially_copyable_v<T>);
-    if (section.length % sizeof(T) != 0) {
-        fatal(path, ": section ", tagName(section.tag), " holds ",
-              section.length, " bytes, not a multiple of ", sizeof(T));
-    }
-    std::vector<T> values(section.length / sizeof(T));
-    if (section.length > 0)
-        std::memcpy(values.data(), section.data, section.length);
-    return values;
-}
-
 /**
- * Fail closed on a GBWT image whose checksums pass but whose records
- * would walk out of bounds: section totals that disagree with the
- * record headers, a body of the other encoding, a body edge index past
- * the record's edge list, a successor past the record table, a
- * successor block that overruns the successor's visits, or body
- * lengths that do not add up to the record's size.
+ * Check a BWRD image record by record (layout: GbwtIndex::words()) and
+ * return each record's first word. Fails closed on a record whose
+ * header, edge pairs or body run past the section, on words after the
+ * last record, on a record count other than @p expected_records, on a
+ * body edge index past the record's edge list, on body lengths that do
+ * not add up to the record's size, on a successor past the record
+ * table, and on a successor block that overruns the successor's visits.
  */
-void
-checkGbwtImage(const std::string &path,
-               const index::GbwtIndex::FlatImage &image,
-               size_t expected_records)
+std::vector<size_t>
+checkGbwtWords(const std::string &path, std::span<const uint32_t> words,
+               bool rle, size_t expected_records)
 {
-    if (image.recordHeaders.size() % 4 != 0)
-        fatal(path, ": BREC section is not a whole record count");
-    const size_t records = image.recordHeaders.size() / 4;
-    if (records != expected_records)
-        fatal(path, ": BREC holds ", records, " records, graph needs ",
-              expected_records);
-    if (image.edges.size() != image.edgeOffsets.size())
-        fatal(path, ": BEDG/BEOF sections disagree");
-    size_t edge_total = 0, run_total = 0, plain_total = 0;
-    for (size_t r = 0; r < records; ++r) {
-        edge_total += image.recordHeaders[r * 4 + 1];
-        run_total += image.recordHeaders[r * 4 + 2];
-        plain_total += image.recordHeaders[r * 4 + 3];
-    }
-    if (edge_total != image.edges.size() ||
-        run_total * 2 != image.runs.size() ||
-        plain_total != image.plain.size())
-        fatal(path, ": GBWT record headers disagree with bodies");
-    if (image.rle ? plain_total != 0 : run_total != 0)
-        fatal(path, ": GBWT ", image.rle ? "BPLN" : "BRUN",
-              " body in a ", image.rle ? "run-length" : "plain",
-              " index");
-
-    std::vector<uint64_t> block; // visits per edge of one record
-    size_t edge_at = 0, body_at = 0;
-    for (size_t r = 0; r < records; ++r) {
-        const uint32_t *header = image.recordHeaders.data() + r * 4;
-        const uint32_t edge_count = header[1];
-        block.assign(edge_count, 0);
+    constexpr size_t kHeader = index::GbwtIndex::kHeaderWords;
+    std::vector<size_t> starts(expected_records);
+    // Visits per edge, every record's edges back to back: the blocks
+    // the second pass checks against the successors' sizes.
+    std::vector<uint32_t> blocks;
+    size_t at = 0;
+    for (size_t r = 0; r < expected_records; ++r) {
+        if (at == words.size())
+            fatal(path, ": BWRD holds ", r, " records, graph needs ",
+                  expected_records);
+        const size_t left = words.size() - at;
+        if (left < kHeader)
+            fatal(path, ": GBWT record ", r, " header runs past BWRD");
+        const uint32_t size = words[at];
+        const uint32_t edge_count = words[at + 1];
+        const uint64_t edge_words = 2 * uint64_t{edge_count};
+        const uint64_t body_words = uint64_t{words[at + 2]} * (rle ? 2 : 1);
+        if (edge_words > left - kHeader)
+            fatal(path, ": GBWT record ", r, " edges run past BWRD");
+        if (body_words > left - kHeader - edge_words)
+            fatal(path, ": GBWT record ", r, " body runs past BWRD");
+        starts[r] = at;
+        const size_t first = blocks.size();
+        blocks.resize(first + edge_count, 0);
         uint64_t visits = 0;
-        auto visit = [&](uint32_t edge, uint32_t len) {
+        const uint32_t *body = words.data() + at + kHeader + edge_words;
+        for (uint64_t i = 0; i < body_words; i += rle ? 2 : 1) {
+            const uint32_t edge = body[i];
+            const uint32_t len = rle ? body[i + 1] : 1;
             if (edge >= edge_count)
                 fatal(path, ": GBWT record ", r, " body names edge ",
                       edge, " of ", edge_count);
-            block[edge] += len;
+            blocks[first + edge] += len;
             visits += len;
-        };
-        if (image.rle) {
-            for (uint32_t i = 0; i < header[2]; ++i, body_at += 2)
-                visit(image.runs[body_at], image.runs[body_at + 1]);
-        } else {
-            for (uint32_t i = 0; i < header[3]; ++i, ++body_at)
-                visit(image.plain[body_at], 1);
         }
-        if (visits != header[0])
+        if (visits != size)
             fatal(path, ": GBWT record ", r, " body holds ", visits,
-                  " visits, header says ", header[0]);
-        for (uint32_t e = 0; e < edge_count; ++e, ++edge_at) {
-            const uint32_t successor = image.edges[edge_at];
-            if (successor >= records)
+                  " visits, header says ", size);
+        at += kHeader + edge_words + body_words;
+    }
+    if (at != words.size())
+        fatal(path, ": BWRD holds ", words.size() - at,
+              " words after the last record");
+
+    size_t edge_at = 0;
+    for (size_t r = 0; r < expected_records; ++r) {
+        const uint32_t *edges = words.data() + starts[r] + kHeader;
+        for (uint32_t e = 0; e < words[starts[r] + 1]; ++e, ++edge_at) {
+            const uint32_t successor = edges[2 * e];
+            if (successor >= expected_records)
                 fatal(path, ": GBWT record ", r, " edge ", e,
-                      " names record ", successor, " of ", records);
+                      " names record ", successor, " of ",
+                      expected_records);
             // Record 0 is the end marker: its edge is never followed.
             if (successor != 0 &&
-                image.edgeOffsets[edge_at] + block[e] >
-                    image.recordHeaders[successor * 4])
+                uint64_t{edges[2 * e + 1]} + blocks[edge_at] >
+                    words[starts[successor]])
                 fatal(path, ": GBWT record ", r, " edge ", e,
                       " block overruns record ", successor);
         }
     }
+    return starts;
 }
 
 } // namespace
@@ -311,29 +301,13 @@ writeArtifact(const std::string &path, const graph::PanGraph &graph,
         sections.push_back({kSecPathNames, std::move(names)});
     }
 
-    // Minimizer index: the zero-copy sections.
-    {
-        Section table{kSecMinimizerTable, {}};
-        const auto entries = minimizers.flatTable();
-        appendRaw(table.bytes, entries.data(), entries.size());
-        sections.push_back(std::move(table));
-        Section hits{kSecMinimizerHits, {}};
-        const auto all = minimizers.allHits();
-        appendRaw(hits.bytes, all.data(), all.size());
-        sections.push_back(std::move(hits));
-    }
-
-    // GBWT (optional).
-    if (gbwt != nullptr) {
-        const auto image = gbwt->flatten();
-        sections.push_back(makeSection(kSecGbwtRecords,
-                                       image.recordHeaders));
-        sections.push_back(makeSection(kSecGbwtEdges, image.edges));
-        sections.push_back(makeSection(kSecGbwtEdgeOffsets,
-                                       image.edgeOffsets));
-        sections.push_back(makeSection(kSecGbwtRuns, image.runs));
-        sections.push_back(makeSection(kSecGbwtPlain, image.plain));
-    }
+    // Minimizer index and GBWT (optional): zero-copy sections.
+    sections.push_back(makeSection(kSecMinimizerTable,
+                                   minimizers.flatTable()));
+    sections.push_back(makeSection(kSecMinimizerHits,
+                                   minimizers.allHits()));
+    if (gbwt != nullptr)
+        sections.push_back(makeSection(kSecGbwtWords, gbwt->words()));
 
     // FM-index (optional): the second family of zero-copy sections.
     if (fm != nullptr) {
@@ -344,16 +318,11 @@ writeArtifact(const std::string &path, const graph::PanGraph &graph,
         appendRaw(fmet.bytes, &fm_meta, 1);
         sections.push_back(std::move(fmet));
 
-        auto span_section = [&](uint32_t tag, const auto &span) {
-            Section section{tag, {}};
-            appendRaw(section.bytes, span.data(), span.size());
-            sections.push_back(std::move(section));
-        };
-        span_section(kSecFmBwt, fm->bwtData());
-        span_section(kSecFmOcc, fm->occData());
-        span_section(kSecFmSamples, fm->sampleData());
-        span_section(kSecFmMarks, fm->markData());
-        span_section(kSecFmPathOffsets, fm->pathOffsetsData());
+        sections.push_back(makeSection(kSecFmBwt, fm->bwtData()));
+        sections.push_back(makeSection(kSecFmSamples, fm->sampleData()));
+        sections.push_back(makeSection(kSecFmMarks, fm->markData()));
+        sections.push_back(makeSection(kSecFmPathOffsets,
+                                       fm->pathOffsetsData()));
     }
 
     // Shard projection (optional): written by `pgb shard` only.
@@ -643,59 +612,36 @@ Artifact::load(const std::string &path)
                 std::move(directory));
     }
 
-    // ---- GBWT (single bulk copy).
+    // ---- GBWT: a zero-copy span over BWRD, and the record starts
+    // derived in the pass that checks it.
     if ((meta.flags & kFlagHasGbwt) != 0) {
-        index::GbwtIndex::FlatImage image;
-        image.rle = (meta.flags & kFlagGbwtRle) != 0;
-        image.recordHeaders = copyAll<uint32_t>(
-            path, need(path, sections, kSecGbwtRecords));
-        image.edges = copyAll<uint32_t>(
-            path, need(path, sections, kSecGbwtEdges));
-        image.edgeOffsets = copyAll<uint32_t>(
-            path, need(path, sections, kSecGbwtEdgeOffsets));
-        image.runs = copyAll<uint32_t>(
-            path, need(path, sections, kSecGbwtRuns));
-        image.plain = copyAll<uint32_t>(
-            path, need(path, sections, kSecGbwtPlain));
-        checkGbwtImage(path, image, node_count * 2 + 1);
+        const bool rle = (meta.flags & kFlagGbwtRle) != 0;
+        const auto &words_sec = need(path, sections, kSecGbwtWords);
+        const std::span<const uint32_t> words(
+            viewAs<uint32_t>(path, words_sec,
+                             words_sec.length / sizeof(uint32_t)),
+            words_sec.length / sizeof(uint32_t));
+        auto starts = checkGbwtWords(path, words, rle, node_count * 2 + 1);
         artifact->gbwt_ = std::make_unique<index::GbwtIndex>(
-            index::GbwtIndex::restore(image));
+            rle, words, std::move(starts));
     }
 
     // ---- FM-index: zero-copy spans over the mapping. Checksums have
     // already passed, so these checks target internal inconsistency:
-    // symbols outside the alphabet or checkpoints that disagree with
-    // the BWT would misindex the derived C/rank structures.
+    // a symbol outside the alphabet would misindex the derived C/rank
+    // structures.
     if ((meta.flags & kFlagHasFmIndex) != 0) {
         const FmMeta &fm_meta =
             *viewAs<FmMeta>(path, need(path, sections, kSecFmMeta), 1);
         if (fm_meta.sampleRate == 0)
             fatal(path, ": FMET sample rate is zero");
         const auto n = static_cast<size_t>(fm_meta.textLength);
-        constexpr uint32_t kSigma = index::FmIndex::kAlphabet;
-        constexpr uint32_t kBlock = index::FmIndex::kOccBlock;
         const uint8_t *bwt =
             viewAs<uint8_t>(path, need(path, sections, kSecFmBwt), n);
-        const size_t occ_count = (n / kBlock + 1) * kSigma;
-        const uint32_t *occ = viewAs<uint32_t>(
-            path, need(path, sections, kSecFmOcc), occ_count);
-        uint32_t running[kSigma] = {};
-        for (size_t r = 0; r < n; ++r) {
-            if (r % kBlock == 0)
-                for (uint32_t c = 0; c < kSigma; ++c)
-                    if (occ[(r / kBlock) * kSigma + c] != running[c])
-                        fatal(path, ": FOCC checkpoints disagree "
-                                    "with the BWT");
-            if (bwt[r] >= kSigma)
+        for (size_t r = 0; r < n; ++r)
+            if (bwt[r] >= index::FmIndex::kAlphabet)
                 fatal(path, ": FBWT holds symbol ", bwt[r],
                       " outside the FM alphabet");
-            ++running[bwt[r]];
-        }
-        if (n % kBlock == 0)
-            for (uint32_t c = 0; c < kSigma; ++c)
-                if (occ[(n / kBlock) * kSigma + c] != running[c])
-                    fatal(path,
-                          ": FOCC checkpoints disagree with the BWT");
 
         const uint64_t *marks = viewAs<uint64_t>(
             path, need(path, sections, kSecFmMarks), (n + 63) / 64);
@@ -734,7 +680,6 @@ Artifact::load(const std::string &path)
         artifact->fm_ = std::make_unique<index::FmIndex>(
             fm_meta.sampleRate,
             std::span<const uint8_t>(bwt, n),
-            std::span<const uint32_t>(occ, occ_count),
             std::span<const uint32_t>(samples,
                                       static_cast<size_t>(marked)),
             std::span<const uint64_t>(marks, (n + 63) / 64),

@@ -9,9 +9,9 @@
  * files); `pgb::store` is the suite's equivalent: `writeArtifact`
  * serializes a graph plus its two indexes into one versioned,
  * checksummed container (format.hpp), and `Artifact::load`
- * memory-maps it back. The minimizer table and hit sections are
- * reconstructed as zero-copy std::span views over the mapping; the
- * graph and GBWT (nested-vector layouts) take one linear bulk copy.
+ * memory-maps it back. The minimizer, GBWT and FM-index sections are
+ * viewed in place as zero-copy std::span views over the mapping; the
+ * graph (a nested-vector layout) takes one linear bulk copy.
  *
  * Failure contract (DESIGN.md §6): writing goes through
  * core::CheckedWriter into a temp file that is renamed over the

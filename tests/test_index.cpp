@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <string>
 
@@ -786,27 +787,36 @@ TEST(Gbwt, WalkBestHandlesMoreSuccessorsThanOneTallyChunk)
     }
 }
 
-TEST(Gbwt, RestoreRoundTripsTheFlatImageAndTheWalks)
+TEST(Gbwt, StoreRoundTripViewsTheBuiltWordsAndWalks)
 {
     const auto pangenome =
         synth::simulatePangenome(synth::mGraphLikeConfig(6000, 7));
     const PanGraph &g = pangenome.graph;
+    const MinimizerIndex minimizers(g, 15, 10);
     for (const bool rle : {true, false}) {
         const GbwtIndex built(g, rle);
-        const auto image = built.flatten();
-        const GbwtIndex restored = GbwtIndex::restore(image);
-        const auto again = restored.flatten();
-        EXPECT_EQ(again.rle, image.rle);
-        EXPECT_EQ(again.recordHeaders, image.recordHeaders);
-        EXPECT_EQ(again.edges, image.edges);
-        EXPECT_EQ(again.edgeOffsets, image.edgeOffsets);
-        EXPECT_EQ(again.runs, image.runs);
-        EXPECT_EQ(again.plain, image.plain);
-        for (uint32_t node = 0; node < g.nodeCount(); ++node) {
-            const Handle start(node, false);
-            expectSameWalk(restored.walkBest(start, 16),
+        const std::string path = test::testTempPath("gbwt_words.pgbi");
+        store::writeArtifact(path, g, minimizers, &built);
+        const auto artifact = store::Artifact::load(path);
+        const GbwtIndex &loaded = *artifact->gbwt();
+        EXPECT_EQ(loaded.runLengthEncoded(), rle);
+        EXPECT_TRUE(std::ranges::equal(loaded.words(), built.words()))
+            << "rle=" << rle;
+        EXPECT_EQ(loaded.derivedBytes(), built.derivedBytes());
+        for (uint32_t packed = 0; packed < g.nodeCount() * 2; ++packed) {
+            const Handle start = Handle::fromPacked(packed);
+            expectSameWalk(loaded.walkBest(start, 16),
                            built.walkBest(start, 16), start);
+            for (const Handle next : g.successors(start)) {
+                const Handle steps[] = {start, next};
+                const GbwtRange want = built.find(steps);
+                const GbwtRange got = loaded.find(steps);
+                EXPECT_EQ(got.node, want.node);
+                EXPECT_EQ(got.begin, want.begin);
+                EXPECT_EQ(got.end, want.end);
+            }
         }
+        std::remove(path.c_str());
     }
 }
 

@@ -304,6 +304,16 @@ TEST(ParseCorpus, GbwtBadEdgeArtifactNamesTheRecord)
         "fatal: " + path + ": GBWT record 1 body names edge 2 of 2");
 }
 
+TEST(ParseCorpus, SplitGbwtLayoutArtifactNamesTheMissingSection)
+{
+    // A valid artifact of the older layout, whose GBWT is split into
+    // BREC/BEDG/BEOF/BRUN/BPLN sections instead of BWRD words.
+    const std::string path = corpusPath("gbwt_split_layout.pgbi");
+    expectStrictError([&] { store::Artifact::load(path); },
+                      "fatal: " + path +
+                          ": missing required section BWRD");
+}
+
 TEST(ParseCorpus, MinimizerBadKArtifactNamesTheField)
 {
     // Checksums in this fixture are valid; META's k is 40.

@@ -11,7 +11,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <functional>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -292,12 +295,161 @@ TEST(StoreFail, FmCorpusFixturesAllFailClosed)
 
 TEST(StoreFail, GbwtCorpusFixtureFailsClosed)
 {
-    // A GBWT whose BRUN names edge 2 of record 1's two edges, with
+    // A GBWT whose BWRD body names edge 2 of record 1's two edges, with
     // every checksum recomputed: only the per-record GBWT validation
     // can catch it, and it must before a walk indexes past the edges.
     const std::string corpus = PGB_CORPUS_DIR;
     EXPECT_THROW(store::Artifact::load(corpus + "/gbwt_bad_edge.pgbi"),
                  core::FatalError);
+}
+
+TEST(StoreFail, SplitGbwtLayoutFailsClosed)
+{
+    // An artifact whose GBWT is stored in the older five-section split
+    // (BREC/BEDG/BEOF/BRUN/BPLN) and not as BWRD words.
+    const std::string path =
+        std::string(PGB_CORPUS_DIR) + "/gbwt_split_layout.pgbi";
+    try {
+        store::Artifact::load(path);
+        FAIL() << "the split GBWT layout loaded";
+    } catch (const core::FatalError &error) {
+        EXPECT_EQ(std::string(error.what()),
+                  "fatal: " + path + ": missing required section BWRD");
+    }
+}
+
+/**
+ * Rewrite the fixture artifact into @p name with BWRD's payload
+ * replaced by @p words, laid out and checksummed as writeArtifact
+ * would: only the GBWT record check can then reject it.
+ */
+std::string
+withGbwtWords(const std::string &name, const std::vector<uint32_t> &words)
+{
+    std::ifstream in(fixture().artifactPath, std::ios::binary);
+    const std::string file((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    store::Header header;
+    std::memcpy(&header, file.data(), sizeof(header));
+    std::vector<store::SectionDesc> table(header.sectionCount);
+    std::memcpy(table.data(), file.data() + sizeof(header),
+                table.size() * sizeof(store::SectionDesc));
+    std::vector<std::string> payloads;
+    for (const store::SectionDesc &desc : table)
+        payloads.push_back(desc.tag == store::kSecGbwtWords
+                               ? std::string(
+                                     reinterpret_cast<const char *>(
+                                         words.data()),
+                                     words.size() * sizeof(uint32_t))
+                               : file.substr(desc.offset, desc.length));
+    const auto align = [](size_t offset) {
+        return (offset + store::kSectionAlign - 1) /
+               store::kSectionAlign * store::kSectionAlign;
+    };
+    size_t offset = sizeof(header) + table.size() * sizeof(table[0]);
+    for (size_t s = 0; s < table.size(); ++s) {
+        offset = align(offset);
+        table[s].offset = offset;
+        table[s].length = payloads[s].size();
+        table[s].checksum =
+            store::fnv1a64(payloads[s].data(), payloads[s].size());
+        offset += payloads[s].size();
+    }
+    header.fileBytes = align(offset);
+    header.tableChecksum = store::fnv1a64(
+        table.data(), table.size() * sizeof(store::SectionDesc));
+    std::string out(header.fileBytes, '\0');
+    std::memcpy(out.data(), &header, sizeof(header));
+    std::memcpy(out.data() + sizeof(header), table.data(),
+                table.size() * sizeof(store::SectionDesc));
+    for (size_t s = 0; s < table.size(); ++s)
+        std::memcpy(out.data() + table[s].offset, payloads[s].data(),
+                    payloads[s].size());
+    const std::string path = test::testTempPath(name);
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << out;
+    return path;
+}
+
+TEST(StoreFail, EveryGbwtRecordDefectFailsClosed)
+{
+    // One BWRD mutation per record check, every checksum valid: each
+    // load must end in that check's one-line FatalError.
+    const std::vector<uint32_t> built(fixture().gbwt->words().begin(),
+                                      fixture().gbwt->words().end());
+    ASSERT_TRUE(fixture().gbwt->runLengthEncoded());
+    constexpr uint32_t kHeader = index::GbwtIndex::kHeaderWords;
+    std::vector<size_t> starts;
+    for (size_t at = 0; at < built.size();
+         at += kHeader + 2 * built[at + 1] + 2 * built[at + 2])
+        starts.push_back(at);
+    const size_t records = starts.size();
+    ASSERT_EQ(records, fixture().pangenome.graph.nodeCount() * 2 + 1);
+    const size_t last = starts.back();
+    // The first record with a followed edge and a body.
+    size_t r = 0;
+    while (built[starts[r] + 1] == 0 || built[starts[r] + kHeader] == 0)
+        ++r;
+    const size_t at = starts[r];
+    const uint32_t edges = built[at + 1];
+    const size_t body = at + kHeader + 2 * edges;
+    const uint32_t successor = built[at + kHeader];
+    const std::string rec = "GBWT record " + std::to_string(r);
+
+    struct Case
+    {
+        const char *name;
+        std::function<void(std::vector<uint32_t> &)> mutate;
+        std::string message;
+    };
+    const std::vector<Case> cases = {
+        {"header_past", [&](auto &w) { w.resize(last + 2); },
+         "GBWT record " + std::to_string(records - 1) +
+             " header runs past BWRD"},
+        {"edges_past", [&](auto &w) { w[last + 1] = 1u << 30; },
+         "GBWT record " + std::to_string(records - 1) +
+             " edges run past BWRD"},
+        {"body_past", [&](auto &w) { w[last + 2] = 1u << 30; },
+         "GBWT record " + std::to_string(records - 1) +
+             " body runs past BWRD"},
+        {"trailing", [&](auto &w) { w.push_back(0); },
+         "BWRD holds 1 words after the last record"},
+        {"record_count", [&](auto &w) { w.resize(last); },
+         "BWRD holds " + std::to_string(records - 1) +
+             " records, graph needs " + std::to_string(records)},
+        {"body_edge", [&](auto &w) { w[body] = edges; },
+         rec + " body names edge " + std::to_string(edges) + " of " +
+             std::to_string(edges)},
+        {"body_visits", [&](auto &w) { ++w[body + 1]; },
+         rec + " body holds " + std::to_string(built[at] + 1) +
+             " visits, header says " + std::to_string(built[at])},
+        {"successor",
+         [&](auto &w) { w[at + kHeader] = static_cast<uint32_t>(records); },
+         rec + " edge 0 names record " + std::to_string(records) +
+             " of " + std::to_string(records)},
+        {"block_overrun",
+         [&](auto &w) { w[at + kHeader + 1] = built[starts[successor]]; },
+         rec + " edge 0 block overruns record " +
+             std::to_string(successor)},
+    };
+    for (const Case &c : cases) {
+        std::vector<uint32_t> words = built;
+        c.mutate(words);
+        const std::string path =
+            withGbwtWords(std::string("bwrd_") + c.name + ".pgbi", words);
+        try {
+            store::Artifact::load(path);
+            ADD_FAILURE() << c.name << ": the mutated BWRD loaded";
+        } catch (const core::FatalError &error) {
+            EXPECT_EQ(std::string(error.what()),
+                      "fatal: " + path + ": " + c.message)
+                << c.name;
+        }
+        std::remove(path.c_str());
+    }
+    // The unmutated words pass through the same rewrite and load.
+    const std::string path = withGbwtWords("bwrd_intact.pgbi", built);
+    EXPECT_NE(store::Artifact::load(path)->gbwt(), nullptr);
+    std::remove(path.c_str());
 }
 
 TEST(StoreFail, MinimizerCorpusFixturesFailClosed)
